@@ -24,21 +24,30 @@
 open Cmdliner
 
 let load_graph spec =
+  let unknown () =
+    prerr_endline
+      "unknown graph (expected snb[:sf], diamond:N, pages[:N[:links]], g1, g2 or cycle)";
+    exit 2
+  in
+  (* Sizes are range-checked here, before the generators' own guards. *)
+  let int ~min s = match int_of_string_opt s with Some n when n >= min -> n | _ -> unknown () in
+  let scale s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> f
+    | _ -> unknown ()
+  in
   match String.split_on_char ':' spec with
   | [ "snb" ] -> (Ldbc.Snb.generate ~sf:0.1 ()).Ldbc.Snb.graph
-  | [ "snb"; sf ] -> (Ldbc.Snb.generate ~sf:(float_of_string sf) ()).Ldbc.Snb.graph
-  | [ "diamond"; n ] -> (Pathsem.Toygraphs.diamond_chain (int_of_string n)).Pathsem.Toygraphs.g
+  | [ "snb"; sf ] -> (Ldbc.Snb.generate ~sf:(scale sf) ()).Ldbc.Snb.graph
+  | [ "diamond"; n ] -> (Pathsem.Toygraphs.diamond_chain (int ~min:0 n)).Pathsem.Toygraphs.g
   | [ "g1" ] -> (Pathsem.Toygraphs.g1 ()).Pathsem.Toygraphs.g
   | [ "g2" ] -> (Pathsem.Toygraphs.g2 ()).Pathsem.Toygraphs.g
   | [ "cycle" ] -> (Pathsem.Toygraphs.triangle_cycle ()).Pathsem.Toygraphs.g
   | [ "pages" ] -> (Pathsem.Toygraphs.web 64).Pathsem.Toygraphs.g
-  | [ "pages"; n ] -> (Pathsem.Toygraphs.web (int_of_string n)).Pathsem.Toygraphs.g
+  | [ "pages"; n ] -> (Pathsem.Toygraphs.web (int ~min:1 n)).Pathsem.Toygraphs.g
   | [ "pages"; n; links ] ->
-    (Pathsem.Toygraphs.web ~links:(int_of_string links) (int_of_string n)).Pathsem.Toygraphs.g
-  | _ ->
-    prerr_endline
-      "unknown graph (expected snb[:sf], diamond:N, pages[:N[:links]], g1, g2 or cycle)";
-    exit 2
+    (Pathsem.Toygraphs.web ~links:(int ~min:0 links) (int ~min:1 n)).Pathsem.Toygraphs.g
+  | _ -> unknown ()
 
 let parse_param graph s =
   match String.index_opt s '=' with

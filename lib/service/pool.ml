@@ -51,6 +51,7 @@ type 'a t = {
   mutable drain : bool;
   mutable n_running : int;
   mutable domains : unit Domain.t list;
+  on_complete : unit -> unit;  (* called after every terminal set_state *)
 }
 
 (* Awaiter observability: every wakeup (condvar signal or backoff sleep
@@ -133,12 +134,15 @@ let rec worker_loop t =
       let result = try Done (thunk ()) with e -> Failed (Printexc.to_string e) in
       set_state job result
     end;
+    (* After the terminal set_state, never before: a listener woken here
+       must already see Done/Failed. *)
+    t.on_complete ();
     Mutex.lock t.m;
     t.n_running <- t.n_running - 1;
     Mutex.unlock t.m;
     worker_loop t
 
-let create ?workers ?(queue_capacity = 64) ?per_tenant_capacity () =
+let create ?workers ?(queue_capacity = 64) ?per_tenant_capacity ?(on_complete = ignore) () =
   let n_workers =
     match workers with
     | Some w -> max 1 w
@@ -159,7 +163,8 @@ let create ?workers ?(queue_capacity = 64) ?per_tenant_capacity () =
       stopping = false;
       drain = true;
       n_running = 0;
-      domains = [] }
+      domains = [];
+      on_complete }
   in
   t.domains <- List.init n_workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t

@@ -6,8 +6,9 @@
     either enqueues a job or refuses immediately — the queues are the
     admission-control bound, so an overloaded server sheds load instead of
     accumulating latency.  Jobs are plain thunks; their completion is
-    observed by polling {!state} (the server's event loop does this on its
-    select tick) or blocking in {!await}.
+    observed through the [?on_complete] callback (the server's event loop
+    uses it to wake its [select]) followed by {!state}, or by blocking in
+    {!await}.
 
     {b Tenant fairness.}  Each job belongs to a tenant ([submit ?tenant],
     default [""]).  Tenants get their own bounded sub-queues — a flooding
@@ -39,10 +40,21 @@ type 'a state =
   | Done of 'a
   | Failed of string  (** uncaught exception, rendered *)
 
-val create : ?workers:int -> ?queue_capacity:int -> ?per_tenant_capacity:int -> unit -> 'a t
+val create :
+  ?workers:int ->
+  ?queue_capacity:int ->
+  ?per_tenant_capacity:int ->
+  ?on_complete:(unit -> unit) ->
+  unit ->
+  'a t
 (** [queue_capacity] (default 64) bounds total queued jobs across all
     tenants; [per_tenant_capacity] (default = [queue_capacity]) bounds
-    each tenant's sub-queue. *)
+    each tenant's sub-queue.  [on_complete] (default: nothing) runs on the
+    worker domain once per job the worker retires — [Done], [Failed], or
+    cancelled before start — after the job's terminal state is set, so
+    a {!state} read triggered by it sees the final state.  It must be
+    cheap and must not raise.  Jobs dropped by [shutdown ~drain:false]
+    are not reported. *)
 
 val submit :
   ?cancel:bool Atomic.t ->

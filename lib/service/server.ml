@@ -4,9 +4,12 @@
    out of per-connection buffers, answers control requests inline and hands
    invocations to the worker pool, then sweeps pending jobs for
    completions and blown deadlines, pumps the single-writer lane and
-   retires reclaimed workers on every tick.  Obs.Metrics / Obs.Trace are
-   domain-safe (mutexed registry, domain-local span stacks), so workers
-   may record too.
+   retires reclaimed workers on every pass.  A pass starts when a socket
+   turns readable, when a worker retires a job (it writes the completion
+   wakeup pipe, which sits in the select set), at the nearest request
+   deadline, or after at most [max_wait] (replication heartbeats).
+   Obs.Metrics / Obs.Trace are domain-safe (mutexed registry, domain-local
+   span stacks), so workers may record too.
 
    Multi-tenancy (docs/SERVICE.md): every invocation belongs to a tenant
    — the frame's [tenant] field, or the connection's anonymous per-
@@ -134,6 +137,7 @@ type t = {
   pool : P.response Pool.t;
   tenants : Tenant.t;
   listen_fd : Unix.file_descr;
+  wake : Wake.t;  (* completion wakeup; its read end sits in the select set *)
   bound : endpoint;
   stop_flag : bool Atomic.t;
   mutable anon_seq : int;              (* anonymous-tenant name counter *)
@@ -173,9 +177,11 @@ let create cfg engine =
     | `Tcp (host, _), Unix.ADDR_INET (_, port) -> `Tcp (host, port)
     | ep, _ -> ep
   in
+  let wake = Wake.create () in
   let pool =
     Pool.create ?workers:cfg.workers ~queue_capacity:cfg.queue_capacity
-      ~per_tenant_capacity:(max 1 cfg.per_tenant_queue) ()
+      ~per_tenant_capacity:(max 1 cfg.per_tenant_queue)
+      ~on_complete:(fun () -> Wake.signal wake) ()
   in
   let tenants =
     Tenant.create ~now:(Faults.quota_now cfg.faults) ~weights:cfg.tenant_weights
@@ -186,13 +192,15 @@ let create cfg engine =
       ~sync_replicas:cfg.sync_replicas ~sync_timeout_ms:cfg.sync_timeout_ms
       ~max_staleness_ms:cfg.max_staleness_ms ()
   in
-  { engine; cfg; repl; pool; tenants; listen_fd = fd; bound; stop_flag = Atomic.make false;
+  { engine; cfg; repl; pool; tenants; listen_fd = fd; wake; bound; stop_flag = Atomic.make false;
     anon_seq = 0; conns = []; pending = []; reclaiming = []; writer_busy = false;
     writer_waiting = []; n_timeouts = 0; n_overloaded = 0;
     n_cancellations = 0; n_reclaimed = 0; n_quota_denied = 0; n_inflight_shed = 0 }
 
 let endpoint t = t.bound
-let stop t = Atomic.set t.stop_flag true
+let stop t =
+  Atomic.set t.stop_flag true;
+  Wake.signal t.wake
 
 let now () = Unix.gettimeofday ()
 
@@ -398,40 +406,46 @@ let submit_job t conn ~id ~query ~tenant ~via_lane ~(prepared : Engine.prepared)
     Tenant.record t.tenants tenant (if via_lane then `Completed else `Shed);
     send t conn ~id (P.Error (P.Shutting_down, "server stopping", P.no_hint))
 
-(* Pop the writer lane after the in-flight writer retires.  Dead or
-   already-expired waiters are answered/dropped without consuming the
-   lane, so one stale entry cannot stall the queue behind it. *)
-let rec pump_writers t =
-  if not t.writer_busy then
-    match t.writer_waiting with
-    | [] -> ()
-    | w :: rest ->
-      t.writer_waiting <- rest;
-      let tick_now = now () in
-      if not w.w_conn.alive then begin
-        Tenant.record t.tenants w.w_tenant `Completed;
-        pump_writers t
-      end
-      else if tick_now >= w.w_deadline then begin
-        t.n_timeouts <- t.n_timeouts + 1;
-        Tenant.record t.tenants w.w_tenant `Completed;
-        let resp =
-          P.Error
-            ( P.Timeout,
-              Printf.sprintf "%s exceeded its deadline in the writer queue" w.w_query,
-              P.no_hint )
-        in
-        record_outcome ~query:w.w_query ~ms:((tick_now -. w.w_start) *. 1000.0) resp;
-        send t w.w_conn ~id:w.w_id resp;
-        pump_writers t
-      end
-      else begin
+(* Answer parked writers whose deadline passed — even while the lane is
+   busy, so the [timeout] arrives on the deadline — and drop dead ones;
+   then, once the in-flight writer has retired, submit the head. *)
+let pump_writers t =
+  let tick_now = now () in
+  t.writer_waiting <-
+    List.filter
+      (fun w ->
+        if not w.w_conn.alive then begin
+          Tenant.record t.tenants w.w_tenant `Completed;
+          false
+        end
+        else if tick_now >= w.w_deadline then begin
+          t.n_timeouts <- t.n_timeouts + 1;
+          Tenant.record t.tenants w.w_tenant `Completed;
+          let resp =
+            P.Error
+              ( P.Timeout,
+                Printf.sprintf "%s exceeded its deadline in the writer queue" w.w_query,
+                P.no_hint )
+          in
+          record_outcome ~query:w.w_query ~ms:((tick_now -. w.w_start) *. 1000.0) resp;
+          send t w.w_conn ~id:w.w_id resp;
+          false
+        end
+        else true)
+      t.writer_waiting;
+  let rec submit_head () =
+    if not t.writer_busy then
+      match t.writer_waiting with
+      | [] -> ()
+      | w :: rest ->
+        t.writer_waiting <- rest;
         submit_job t w.w_conn ~id:w.w_id ~query:w.w_query ~tenant:w.w_tenant
           ~via_lane:true ~prepared:w.w_prepared ~deadline:w.w_deadline ~start:w.w_start;
         (* A failed submission (overloaded/shutdown) was answered inside
            [submit_job] and leaves the lane free: keep pumping. *)
-        pump_writers t
-      end
+        submit_head ()
+  in
+  submit_head ()
 
 (* A follower's [Subscribe]: the hub takes the socket over.  Detach from
    the event loop first — [alive <- false] stops the frame-drain loop,
@@ -729,8 +743,19 @@ let set_tenant_gauges t =
         Obs.Metrics.set_gauge g 0.0)
     tenant_gauges
 
+(* Upper bound on one select wait: it paces [Repl.tick]'s heartbeats.
+   Completions and deadlines do not wait for it. *)
+let max_wait = 0.02
+
+(* Sleep until the nearest deadline the sweeps enforce, at most
+   [max_wait].  After the sweeps every remaining deadline lies ahead, so
+   a 0 here is one more pass, never a spin. *)
+let select_timeout t =
+  let nearest = List.fold_left (fun d p -> Float.min d p.p_deadline) infinity t.pending in
+  let nearest = List.fold_left (fun d w -> Float.min d w.w_deadline) nearest t.writer_waiting in
+  Float.max 0.0 (Float.min max_wait (nearest -. now ()))
+
 let run t =
-  let tick = 0.02 in
   while not (Atomic.get t.stop_flag) do
     (* A send failure only marks the connection dead; release its fd and
        cancel its work here, on the loop, exactly once. *)
@@ -739,11 +764,13 @@ let run t =
     Obs.Metrics.set_gauge m_connections (float_of_int (List.length t.conns));
     Obs.Metrics.set_gauge m_queue_depth (float_of_int (Pool.queue_depth t.pool));
     set_tenant_gauges t;
-    let fds = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
+    let wake_fd = Wake.fd t.wake in
+    let fds = wake_fd :: t.listen_fd :: List.map (fun c -> c.fd) t.conns in
     let readable, _, _ =
-      try Unix.select fds [] [] tick
+      try Unix.select fds [] [] (select_timeout t)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
+    if List.memq wake_fd readable then Wake.drain t.wake;
     if List.memq t.listen_fd readable then accept_ready t;
     List.iter
       (fun conn -> if conn.alive && List.memq conn.fd readable then on_readable t conn)
@@ -781,4 +808,6 @@ let run t =
   List.iter (fun c -> close_conn t c) t.conns;
   t.conns <- [];
   Repl.stop t.repl;
-  Pool.shutdown ~drain:false t.pool
+  Pool.shutdown ~drain:false t.pool;
+  (* After the join: no worker can signal any more, only a late [stop]. *)
+  Wake.close t.wake

@@ -4,9 +4,11 @@
 
     The loop owns every socket; workers execute query thunks and may
     record {!Obs} metrics and spans freely (the registries are
-    domain-safe).  Per-request
-    deadlines are enforced on the loop's select tick: a request whose
-    deadline passes gets a [timeout] error immediately and its job is
+    domain-safe).  The loop wakes when a socket is readable, when a worker
+    retires a job (the pool's [on_complete] writes a self-pipe in the
+    select set), at the nearest request deadline, and at least every
+    20 ms for replication heartbeats.  A request whose
+    deadline passes gets a [timeout] error on the deadline and its job is
     {e cancelled} — the server flips the execution budget's cancel flag
     ({!Interrupt}), the worker unwinds at its next governor checkpoint,
     and the job is tracked in a reclaim list until it does
@@ -115,5 +117,5 @@ val run : t -> unit
     request arrives, then closes every connection and joins the pool. *)
 
 val stop : t -> unit
-(** Thread/signal-safe: flips an atomic flag the loop observes on its next
-    tick.  Idempotent. *)
+(** Thread/signal-safe: flips an atomic flag and wakes the loop, which
+    exits at once.  Idempotent, and harmless after {!run} returned. *)

@@ -35,6 +35,20 @@ CREATE QUERY Slow (int n) {
 }
 |}
 
+let addv_src = {|
+CREATE QUERY AddV (string nm) {
+  INSERT INTO V (name) VALUES (nm);
+}
+|}
+
+(* |R| = number of vertices carrying the name. *)
+let countname_src = {|
+CREATE QUERY CountName (string nm) {
+  R = SELECT v FROM V:v -(E>*0..0)- V:w WHERE v.name = nm;
+  PRINT R[R.name];
+}
+|}
+
 let qn_params n = [ ("srcName", V.Str "v0"); ("tgtName", V.Str ("v" ^ string_of_int n)) ]
 
 let contains s sub =
@@ -402,6 +416,100 @@ let test_e2e_timeout_reclaims_worker () =
             (stats_int fields "cancellations" >= 1);
           Alcotest.(check bool) "reclaims counted" true (stats_int fields "reclaimed" >= 1)))
 
+(* The loop sleeps until the nearest deadline, not a fixed 20 ms tick,
+   so a [timeout] answer arrives on the deadline.  Every execution sleeps
+   200 ms first, so each 30 ms invoke times out; lateness on a tick-paced
+   loop spreads evenly over 0-20 ms (median ~10 ms). *)
+let test_e2e_timeout_on_deadline () =
+  let faults =
+    match Service.Faults.parse "delay-in-worker=200" with
+    | Ok f -> f
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  with_server ~faults ~workers:2 (fun ep ->
+      let c = Service.Client.connect ep in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c)
+        (fun () ->
+          let lateness =
+            List.init 10 (fun _ ->
+                let t0 = Unix.gettimeofday () in
+                (match
+                   Service.Client.invoke c ~timeout_ms:30 ~no_cache:true ~query:"CountPaths"
+                     ~params:(qn_params 10) ()
+                 with
+                 | P.Error (P.Timeout, _, _) -> ()
+                 | _ -> Alcotest.fail "expected a timeout");
+                ((Unix.gettimeofday () -. t0) *. 1000.0) -. 30.0)
+          in
+          let median = List.nth (List.sort compare lateness) 5 in
+          Alcotest.(check bool)
+            (Printf.sprintf "median lateness %.2f ms < 5 ms" median)
+            true (median < 5.0)))
+
+(* A mutating invoke parked behind the single-writer lane times out on its
+   own deadline while the lane is still busy, and never runs; the writer
+   holding the lane still commits.  Every execution sleeps 200 ms first,
+   so the lane stays busy ~150 ms past the parked writer's 30 ms deadline.
+   Once the parked writer is answered the loop must sleep, not spin on a
+   zero select timeout, while the lane holder finishes: the process burns
+   little CPU over that wait. *)
+let test_e2e_parked_writer_times_out () =
+  let faults =
+    match Service.Faults.parse "delay-in-worker=200" with
+    | Ok f -> f
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  let count c nm =
+    match
+      Service.Client.invoke c ~no_cache:true ~query:"CountName" ~params:[ ("nm", V.Str nm) ] ()
+    with
+    | P.Result { rs_result = { P.x_vsets; _ }; _ } ->
+      (match List.assoc_opt "R" x_vsets with Some ids -> Array.length ids | None -> 0)
+    | _ -> Alcotest.fail "count failed"
+  in
+  with_server ~faults ~workers:2 ~sources:[ addv_src; countname_src ] (fun ep ->
+      let holder =
+        Domain.spawn (fun () ->
+            let c = Service.Client.connect ep in
+            Fun.protect
+              ~finally:(fun () -> Service.Client.close c)
+              (fun () ->
+                Service.Client.invoke c ~query:"AddV" ~params:[ ("nm", V.Str "first") ] ()))
+      in
+      (* Let the first writer reach the pool and take the lane. *)
+      Unix.sleepf 0.05;
+      let c = Service.Client.connect ep in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c)
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          (match
+             Service.Client.invoke c ~timeout_ms:30 ~query:"AddV"
+               ~params:[ ("nm", V.Str "second") ] ()
+           with
+           | P.Error (P.Timeout, _, _) -> ()
+           | _ -> Alcotest.fail "parked writer should time out");
+          let late = ((Unix.gettimeofday () -. t0) *. 1000.0) -. 30.0 in
+          Alcotest.(check bool) (Printf.sprintf "answered %.1f ms late < 20 ms" late) true
+            (late < 20.0);
+          let cpu () =
+            let t = Unix.times () in
+            t.Unix.tms_utime +. t.Unix.tms_stime
+          in
+          let w0 = Unix.gettimeofday () and c0 = cpu () in
+          (match Domain.join holder with
+           | P.Result _ -> ()
+           | _ -> Alcotest.fail "the lane holder should commit");
+          let wall = Unix.gettimeofday () -. w0 and busy = cpu () -. c0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "loop idle while the lane drains (cpu %.0f of %.0f ms)"
+               (busy *. 1000.0) (wall *. 1000.0))
+            true
+            (busy < 0.5 *. wall);
+          Alcotest.(check int) "lane holder committed" 1 (count c "first");
+          Alcotest.(check int) "timed-out writer never ran" 0 (count c "second")))
+
 let test_e2e_cancellation_preserves_consistency () =
   with_server ~workers:2 (fun ep ->
       let c = Service.Client.connect ep in
@@ -547,6 +655,8 @@ let () =
             test_engine_timeout_does_not_pollute_cache ] );
       ( "e2e",
         [ Alcotest.test_case "timeout reclaims worker" `Quick test_e2e_timeout_reclaims_worker;
+          Alcotest.test_case "timeout on the deadline" `Quick test_e2e_timeout_on_deadline;
+          Alcotest.test_case "parked writer times out" `Quick test_e2e_parked_writer_times_out;
           Alcotest.test_case "cancellation consistency" `Quick
             test_e2e_cancellation_preserves_consistency;
           Alcotest.test_case "retry gives up at cap" `Quick test_e2e_client_retry_gives_up;

@@ -272,6 +272,137 @@ let test_pool_admission_control () =
    | Error `Shutdown -> ()
    | _ -> Alcotest.fail "submit after shutdown accepted")
 
+(* [on_complete] wakes the server's event loop, so it must fire exactly
+   once per retired job, and only once the job's terminal state is
+   visible.  Shutdown joins the workers, after which the count is final. *)
+let count_completions ?(on_fire = ignore) f =
+  let fired = Atomic.make 0 in
+  let on_complete () =
+    on_fire ();
+    Atomic.incr fired
+  in
+  let pool = Service.Pool.create ~workers:1 ~on_complete () in
+  f pool;
+  Service.Pool.shutdown pool;
+  Atomic.get fired
+
+let submit_ok pool thunk =
+  match Service.Pool.submit pool thunk with
+  | Ok j -> j
+  | Error _ -> Alcotest.fail "submit refused"
+
+(* A job that spins until [gate] opens, so the test decides when it ends. *)
+let gated pool gate v =
+  submit_ok pool (fun () ->
+      while not (Atomic.get gate) do
+        Unix.sleepf 0.001
+      done;
+      v)
+
+let test_pool_on_complete_done () =
+  let job = ref None and saw_unfinished = Atomic.make false in
+  let on_fire () =
+    match Option.map Service.Pool.state !job with
+    | Some (Service.Pool.Done _ | Service.Pool.Failed _) -> ()
+    | _ -> Atomic.set saw_unfinished true
+  in
+  let n =
+    count_completions ~on_fire (fun pool ->
+        let gate = Atomic.make false in
+        let j = gated pool gate 7 in
+        job := Some j;
+        Atomic.set gate true;
+        match Service.Pool.await ~timeout_ms:5000 j with
+        | Service.Pool.Done 7 -> ()
+        | _ -> Alcotest.fail "job lost")
+  in
+  Alcotest.(check int) "fired once for Done" 1 n;
+  Alcotest.(check bool) "state already terminal when fired" false (Atomic.get saw_unfinished)
+
+let test_pool_on_complete_failed () =
+  let n =
+    count_completions (fun pool ->
+        let j = submit_ok pool (fun () -> failwith "boom") in
+        match Service.Pool.await ~timeout_ms:5000 j with
+        | Service.Pool.Failed _ -> ()
+        | _ -> Alcotest.fail "expected failure")
+  in
+  Alcotest.(check int) "fired once for Failed" 1 n
+
+let test_pool_on_complete_cancelled () =
+  let ran = Atomic.make false in
+  let n =
+    count_completions (fun pool ->
+        let gate = Atomic.make false in
+        let blocker = gated pool gate 0 in
+        ignore (Service.Pool.await ~timeout_ms:200 blocker);
+        let queued = submit_ok pool (fun () -> Atomic.set ran true; 1) in
+        Service.Pool.cancel queued;
+        Atomic.set gate true;
+        match Service.Pool.await ~timeout_ms:5000 queued with
+        | Service.Pool.Failed _ -> ()
+        | _ -> Alcotest.fail "cancelled job should fail")
+  in
+  Alcotest.(check bool) "cancelled thunk never ran" false (Atomic.get ran);
+  Alcotest.(check int) "fired once per job (blocker + cancelled)" 2 n
+
+(* ------------------------------------------------------------------ *)
+(* Wake                                                                *)
+
+let wake_readable ?(wait = 0.0) w =
+  match Unix.select [ Service.Wake.fd w ] [] [] wait with
+  | [], _, _ -> false
+  | _ -> true
+
+let with_wake f =
+  let w = Service.Wake.create () in
+  Fun.protect ~finally:(fun () -> Service.Wake.close w) (fun () -> f w)
+
+(* Signals between two drains coalesce into one byte, and a drain re-arms
+   the next signal. *)
+let test_wake_coalesce_and_rearm () =
+  with_wake (fun w ->
+      Alcotest.(check bool) "idle" false (wake_readable w);
+      Service.Wake.signal w;
+      Alcotest.(check bool) "signal wakes" true (wake_readable w);
+      Service.Wake.signal w;
+      Service.Wake.drain w;
+      Alcotest.(check bool) "second signal coalesced" false (wake_readable w);
+      Service.Wake.signal w;
+      Alcotest.(check bool) "re-armed after drain" true (wake_readable w);
+      Service.Wake.drain w;
+      Service.Wake.drain w;
+      Alcotest.(check bool) "drain on empty pipe" false (wake_readable w);
+      Service.Wake.signal w;
+      Alcotest.(check bool) "re-armed after empty drain" true (wake_readable w))
+
+(* A signaller domain races the loop's drain.  A wakeup lost in that race
+   leaves the coalescing flag set over an empty pipe for good, so after
+   the race one more signal must still make the pipe readable.  The
+   signaller varies its pace so its signals land at every point of the
+   loop's select/drain cycle. *)
+let test_wake_no_lost_wakeup () =
+  with_wake (fun w ->
+      let finished = Atomic.make false in
+      let signaller =
+        Domain.spawn (fun () ->
+            for i = 1 to 20_000 do
+              Service.Wake.signal w;
+              for _ = 1 to i mod 97 * 8 do
+                Domain.cpu_relax ()
+              done
+            done;
+            Atomic.set finished true)
+      in
+      while not (Atomic.get finished) do
+        if wake_readable ~wait:0.01 w then Service.Wake.drain w
+      done;
+      Domain.join signaller;
+      if wake_readable w then Service.Wake.drain w;
+      Alcotest.(check bool) "drained" false (wake_readable w);
+      Service.Wake.signal w;
+      Alcotest.(check bool) "a signal after the race still wakes" true (wake_readable w))
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -487,8 +618,8 @@ let fresh_socket_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "gsqlsvc_%d_%d.sock" (Unix.getpid ()) !counter)
 
-let with_server ?workers ?(queue_capacity = 64) ?(default_timeout_ms = 10_000) ?(n = 10)
-    ?(sources = [ count_paths_src ]) f =
+let with_server ?faults ?workers ?(queue_capacity = 64) ?(default_timeout_ms = 10_000)
+    ?(n = 10) ?(sources = [ count_paths_src ]) f =
   let path = fresh_socket_path () in
   let engine = Service.Engine.create ~cache_capacity:32 ~graph:(diamond n) () in
   List.iter
@@ -504,6 +635,7 @@ let with_server ?workers ?(queue_capacity = 64) ?(default_timeout_ms = 10_000) ?
       queue_capacity;
       default_timeout_ms }
   in
+  let cfg = match faults with Some faults -> { cfg with Service.Server.faults } | None -> cfg in
   let server = Service.Server.create cfg engine in
   let runner = Domain.spawn (fun () -> Service.Server.run server) in
   Fun.protect
@@ -650,6 +782,64 @@ let test_e2e_control_plane () =
              Alcotest.(check bool) "has workers" true (List.mem_assoc "workers" fields)
            | _ -> Alcotest.fail "stats failed")))
 
+(* A completed job wakes the loop at once.  When the loop only noticed
+   completions on its 20 ms select tick, each of these sequential invokes
+   waited out the whole tick (~1 s total); now each is a round trip plus
+   a tiny execution. *)
+let test_e2e_completion_wakes_loop () =
+  with_server ~faults:Service.Faults.none ~workers:2 ~n:4 (fun ep ->
+      let c = Service.Client.connect ep in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c)
+        (fun () ->
+          let run () =
+            ignore
+              (expect_result
+                 (Service.Client.invoke c ~no_cache:true ~query:"CountPaths"
+                    ~params:(qn_params 4) ()))
+          in
+          run ();
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to 50 do
+            run ()
+          done;
+          let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+          Alcotest.(check bool) (Printf.sprintf "50 invokes in %.1f ms < 250 ms" ms) true
+            (ms < 250.0)))
+
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+(* [stop] wakes the loop instead of waiting out a tick, and [run]'s drain
+   releases every fd the server opened (listener and wake pipe). *)
+let test_e2e_start_stop_no_fd_leak () =
+  let engine = Service.Engine.create ~graph:(diamond 4) () in
+  let before = open_fds () in
+  let stop_ms =
+    List.init 20 (fun _ ->
+        let path = fresh_socket_path () in
+        let server =
+          Service.Server.create
+            { (Service.Server.default_config (`Unix path)) with
+              Service.Server.workers = Some 1 }
+            engine
+        in
+        let runner = Domain.spawn (fun () -> Service.Server.run server) in
+        (* Let the loop settle into select before stopping it. *)
+        Unix.sleepf 0.005;
+        let t0 = Unix.gettimeofday () in
+        Service.Server.stop server;
+        Domain.join runner;
+        (Unix.gettimeofday () -. t0) *. 1000.0)
+  in
+  let median = List.nth (List.sort compare stop_ms) 10 in
+  Alcotest.(check bool) (Printf.sprintf "median stop %.2f ms < 10 ms" median) true
+    (median < 10.0);
+  match (before, open_fds ()) with
+  | Some b, Some a -> Alcotest.(check int) "fd count back to start" b a
+  | _ -> ()
+
 let test_e2e_shutdown_request () =
   let path = fresh_socket_path () in
   let engine = Service.Engine.create ~graph:(diamond 4) () in
@@ -682,7 +872,14 @@ let () =
       ( "pool",
         [ Alcotest.test_case "runs jobs" `Quick test_pool_runs_jobs;
           Alcotest.test_case "failure captured" `Quick test_pool_failure_captured;
-          Alcotest.test_case "admission control" `Quick test_pool_admission_control ] );
+          Alcotest.test_case "admission control" `Quick test_pool_admission_control;
+          Alcotest.test_case "on_complete once for Done" `Quick test_pool_on_complete_done;
+          Alcotest.test_case "on_complete once for Failed" `Quick test_pool_on_complete_failed;
+          Alcotest.test_case "on_complete once for cancelled" `Quick
+            test_pool_on_complete_cancelled ] );
+      ( "wake",
+        [ Alcotest.test_case "coalesce and re-arm" `Quick test_wake_coalesce_and_rearm;
+          Alcotest.test_case "no lost wakeup under a race" `Quick test_wake_no_lost_wakeup ] );
       ( "engine",
         [ Alcotest.test_case "invoke = direct eval" `Quick test_engine_invoke_matches_eval;
           Alcotest.test_case "cache + invalidation" `Quick test_engine_cache_and_invalidation;
@@ -696,4 +893,6 @@ let () =
           Alcotest.test_case "timeout" `Quick test_e2e_timeout;
           Alcotest.test_case "overload sheds" `Quick test_e2e_overload_sheds;
           Alcotest.test_case "control plane" `Quick test_e2e_control_plane;
-          Alcotest.test_case "shutdown request" `Quick test_e2e_shutdown_request ] ) ]
+          Alcotest.test_case "shutdown request" `Quick test_e2e_shutdown_request;
+          Alcotest.test_case "completion wakes the loop" `Quick test_e2e_completion_wakes_loop;
+          Alcotest.test_case "start/stop leaks no fd" `Quick test_e2e_start_stop_no_fd_leak ] ) ]
