@@ -481,13 +481,23 @@ let fetch_server_stats ep =
   in
   settle ()
 
-(* The greppable contract for CI's failover-smoke job. *)
+(* The greppable contract for CI's failover-smoke job.  A transport
+   failure (refused connection, reset, closed mid-call) is a failed
+   status check, not a crash. *)
 let print_status ep =
-  let c = Service.Client.connect ep in
+  let fail msg =
+    Printf.eprintf "status failed: %s\n" msg;
+    exit 1
+  in
+  let c =
+    try Service.Client.connect ep
+    with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  in
   Fun.protect
     ~finally:(fun () -> Service.Client.close c)
     (fun () ->
       match Service.Client.status c with
+      | exception Service.Client.Error msg -> fail msg
       | P.Status st ->
         Printf.printf
           "server status: role: %s epoch: %d version: %d read_only: %s lag_ms: %s \
@@ -499,12 +509,8 @@ let print_status ep =
            | None -> "-")
           (Option.value ~default:"-" st.P.st_leader)
           st.P.st_replicas
-      | P.Error (code, msg, _) ->
-        Printf.eprintf "status failed: %s: %s\n" (P.err_code_to_string code) msg;
-        exit 1
-      | _ ->
-        prerr_endline "unexpected status response";
-        exit 1)
+      | P.Error (code, msg, _) -> fail (P.err_code_to_string code ^ ": " ^ msg)
+      | _ -> fail "unexpected status response")
 
 let () =
   (match (!status_only, !target) with

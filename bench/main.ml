@@ -9,17 +9,16 @@
      micro     — Bechamel per-kernel estimates (one Test.make per table)
 
      fanout    — multi-source parallel fan-out speedup (E6)
-     shard     — shard-count ablation, BSP supersteps (docs/SHARDING.md)
      compile   — interpreter vs install-time compiled plans (docs/COMPILER.md)
 
-   Usage: main.exe [table1|snb|appendixb|examples|ablation|micro|fanout|shard|compile|all]
+   Usage: main.exe [table1|snb|appendixb|examples|ablation|micro|fanout|compile|all]
    Environment: DIAMOND_MAX_ENUM bounds the enumerated columns of table1
    (default 18; the paper ran to n=25 before timing out at 10 minutes);
    BENCH_JSON=<dir> additionally writes a BENCH_<suite>.json metrics sidecar
    per suite (schema: docs/OBSERVABILITY.md). *)
 
 let usage () =
-  prerr_endline "usage: main.exe [table1|snb|appendixb|examples|ablation|micro|fanout|shard|compile|all]";
+  prerr_endline "usage: main.exe [table1|snb|appendixb|examples|ablation|micro|fanout|compile|all]";
   exit 2
 
 let run_table1 () =
@@ -38,7 +37,6 @@ let () =
    | "ablation" -> suite "ablation" Ablation.run
    | "micro" -> suite "micro" Micro.run
    | "fanout" -> suite "fanout" Fanout.run
-   | "shard" -> suite "shard" Shard_ab.run
    (* compile writes its own richer sidecar (per-query speedups), so it
       does not go through Util.with_sidecar. *)
    | "compile" -> Compile_ab.run ()
@@ -50,7 +48,6 @@ let () =
      suite "ablation" Ablation.run;
      suite "micro" Micro.run;
      suite "fanout" Fanout.run;
-     suite "shard" Shard_ab.run;
      Compile_ab.run ()
    | _ -> usage ());
   Printf.printf "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)

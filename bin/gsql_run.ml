@@ -305,19 +305,21 @@ let parse_tenant_weights spec =
 
 let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max_steps
     max_rows max_conns semantics_name install_files trace_file data_dir compact_every
-    shards tenant_weights_spec quota_steps quota_rows tenant_queue replica_of sync_replicas
+    tenant_weights_spec quota_steps quota_rows tenant_queue replica_of sync_replicas
     sync_timeout_ms max_staleness_ms =
-  let graph = load_graph graph_spec in
-  if shards < 1 then begin
-    prerr_endline "serve: --shards must be >= 1";
+  let usage msg =
+    prerr_endline ("serve: " ^ msg);
     exit 2
-  end;
+  in
+  (match port with
+   | Some p when p < 0 || p > 65535 -> usage "--port must lie in 0..65535"
+   | _ -> ());
+  if max_conns < 1 then usage "--max-connections must be >= 1";
+  let graph = load_graph graph_spec in
   let tenant_weights =
     match parse_tenant_weights tenant_weights_spec with
     | Ok ws -> ws
-    | Error msg ->
-      prerr_endline ("serve: " ^ msg);
-      exit 2
+    | Error msg -> usage msg
   in
   let semantics =
     match semantics_name with
@@ -333,12 +335,8 @@ let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max
     match (socket_path, port) with
     | Some path, None -> `Unix path
     | None, Some p -> `Tcp ("127.0.0.1", p)
-    | Some _, Some _ ->
-      prerr_endline "serve: pass --socket or --port, not both";
-      exit 2
-    | None, None ->
-      prerr_endline "serve: pass --socket PATH or --port N";
-      exit 2
+    | Some _, Some _ -> usage "pass --socket or --port, not both"
+    | None, None -> usage "pass --socket PATH or --port N"
   in
   (* Governor limits: the serve-level timeout doubles as the budget
      deadline default, so even a synchronous engine (no server sweep)
@@ -352,7 +350,7 @@ let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max
   let engine =
     match data_dir with
     | None ->
-      Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~shards ~graph ()
+      Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~graph ()
     | Some dir ->
       (* Durable mode: recover the committed state from <dir> (the --graph
          spec supplies the base graph until the first compaction), then
@@ -367,7 +365,7 @@ let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max
          Printf.eprintf "recovered %s at version %d (%d batches replayed)\n%!" dir
            recovery.Store.Persist.r_version recovery.Store.Persist.r_replayed;
          Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~persist
-           ~shards ~version:recovery.Store.Persist.r_version
+           ~version:recovery.Store.Persist.r_version
            ~graph:recovery.Store.Persist.r_graph ()
        | exception Store.Wal.Io_error msg ->
          Printf.eprintf "cannot open data dir %s: %s\n%!" dir msg;
@@ -520,15 +518,6 @@ let compact_every_arg =
            ~doc:"With --data-dir: rewrite the snapshot and empty the WAL after every $(docv) \
                  commits (0 = never compact).")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Hash-partition the vertex space into $(docv) shards and run read-path \
-                 invocations as BSP supersteps with cross-shard frontier exchange; shard-safe \
-                 ACCUM passes merge per-shard partials at the snapshot barrier. Results are \
-                 bit-identical to --shards 1 (docs/SHARDING.md). Stats report the shard \
-                 topology and balance.")
-
 let tenant_weights_arg =
   Arg.(value & opt string ""
        & info [ "tenant-weights" ] ~docv:"SPEC"
@@ -591,7 +580,7 @@ let serve_cmd =
     Term.(
       const serve $ graph_arg $ socket_arg $ port_arg $ workers_arg $ queue_arg $ cache_arg
       $ timeout_arg $ max_steps_arg $ max_rows_arg $ max_conns_arg $ semantics_arg
-      $ install_arg $ serve_trace_arg $ data_dir_arg $ compact_every_arg $ shards_arg
+      $ install_arg $ serve_trace_arg $ data_dir_arg $ compact_every_arg
       $ tenant_weights_arg $ quota_steps_arg $ quota_rows_arg $ tenant_queue_arg
       $ replica_of_arg $ sync_replicas_arg $ sync_timeout_arg $ max_staleness_arg)
 

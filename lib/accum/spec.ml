@@ -31,23 +31,6 @@ let rec order_invariant = function
   | Group_by (_, nested) -> List.for_all order_invariant nested
   | Custom _ -> true (* registration contract: ⊕ commutative/associative *)
 
-(* Sharded ACCUM phases apply the same input ops as the sequential engine
-   but permuted into per-shard groups, so "mergeable for sharding" is
-   stricter than order-invariance: the fold must be {e bit-identical}
-   under any permutation.  Integer/boolean/comparison folds are; float
-   sums are only mathematically so (addition order moves the last ulp),
-   and a custom combiner's registration contract promises algebraic, not
-   bit-level, commutativity — both fall back to single-shard execution
-   so the shards=1 ≡ shards=N differential contract stays exact. *)
-let rec shard_exact = function
-  | Sum_int | Min_acc | Max_acc | Or_acc | And_acc | Set_acc | Bag_acc -> true
-  | Heap_acc _ -> true (* ties broken by full value compare: permutation-proof *)
-  | Sum_float | Avg_acc -> false
-  | Sum_string | List_acc | Array_acc -> false
-  | Map_acc nested -> shard_exact nested
-  | Group_by (_, nested) -> List.for_all shard_exact nested
-  | Custom _ -> false
-
 let rec multiplicity_insensitive = function
   | Min_acc | Max_acc | Or_acc | And_acc | Set_acc -> true
   | Sum_int | Sum_float | Sum_string | Avg_acc | Bag_acc | List_acc | Array_acc | Heap_acc _ ->

@@ -44,14 +44,6 @@ val order_invariant : t -> bool
     order.  False exactly for [Sum_string], [List_acc], [Array_acc] — and
     for composites nesting them. *)
 
-val shard_exact : t -> bool
-(** Whether a permutation of the input-op sequence (per-shard grouping
-    included) yields a {e bit-identical} accumulator value — the
-    admission test for sharded ACCUM execution.  Strictly stronger than
-    {!order_invariant}: float-summing types ([Sum_float], [Avg_acc]) and
-    [Custom] combiners are order-invariant only algebraically, so they
-    (and composites nesting them) fall back to single-shard execution. *)
-
 val multiplicity_insensitive : t -> bool
 (** Whether inputting the same value [µ] times equals inputting it once
     (Min/Max/Set/Or/And and maps thereof).  Drives the Theorem 7.1

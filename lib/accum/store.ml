@@ -19,11 +19,14 @@ type t = {
   prev_globals : (string, V.t) Hashtbl.t;
   prev_vertex : (string, (int, V.t) Hashtbl.t) Hashtbl.t;
   touch_lock : Mutex.t;
-      (* guards first-touch instance creation in [vertex_acc]: sharded
-         ACCUM phases evaluate kernels on several domains at once, and a
-         concurrent [Hashtbl.replace] on [vf_insts] would corrupt the
-         table.  Everything else on the store stays single-domain (ops
-         are buffered per phase; commits run on the driver). *)
+      (* guards first-touch instance creation in [vertex_acc]: the
+         per-source path fan-out (Pathsem.Engine.match_pairs) evaluates
+         pushed-down destination predicates on several domains at once,
+         and one that reads a vertex accumulator ([WHERE t.@seen == 0])
+         reaches [vertex_acc]; a concurrent [Hashtbl.replace] on
+         [vf_insts] would corrupt the table.  Everything else on the
+         store stays single-domain (ops are buffered per phase; commits
+         run on the driver). *)
 }
 
 type op =

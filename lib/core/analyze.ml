@@ -4,7 +4,6 @@ type info = {
   tractable : bool;
   primed : string list;
   mutating : bool;
-  shard_safe : bool;
 }
 
 (* Mutation classification: a query is mutating iff evaluation can write
@@ -28,29 +27,6 @@ let rec stmt_mutates = function
   | Ast.S_print _ | Ast.S_return _ -> false
 
 let block_mutates stmts = List.exists stmt_mutates stmts
-
-(* Shard-safety classification: may ACCUM phases be split into per-shard
-   partials and committed groupwise at the barrier?  Grouping permutes
-   the op sequence, so three things disqualify a block: a mutating
-   statement (writes ordered against graph state), a declared accumulator
-   whose fold isn't bit-exact under permutation (Spec.shard_exact — the
-   plan-time check the paper's MPP story hinges on), or an [=] assignment
-   inside an ACCUM clause (last-writer-wins, order-sensitive regardless
-   of the accumulator's spec).  POST_ACCUM always runs sequentially, so
-   assignments there don't count. *)
-let rec acc_stmt_assigns = function
-  | Ast.A_assign _ -> true
-  | Ast.A_if (_, th, el) -> List.exists acc_stmt_assigns th || List.exists acc_stmt_assigns el
-  | Ast.A_input _ | Ast.A_local _ | Ast.A_attr_assign _ -> false
-
-let rec stmt_accum_assigns = function
-  | Ast.S_select (_, b) -> List.exists acc_stmt_assigns b.Ast.s_accum
-  | Ast.S_while (_, _, body) | Ast.S_foreach (_, _, body) ->
-    List.exists stmt_accum_assigns body
-  | Ast.S_if (_, th, el) ->
-    List.exists stmt_accum_assigns th || List.exists stmt_accum_assigns el
-  | Ast.S_acc_decl _ | Ast.S_set_assign _ | Ast.S_gacc_assign _ | Ast.S_let _
-  | Ast.S_print _ | Ast.S_return _ | Ast.S_insert _ -> false
 
 type acc_kind = Kglobal | Kvertex
 
@@ -239,8 +215,7 @@ let finish env =
     warnings = List.rev env.warns;
     tractable = env.is_tractable;
     primed = List.rev env.primed_names;
-    mutating = false;
-    shard_safe = false }
+    mutating = false }
 
 let fresh_env () =
   { decls = [];
@@ -253,12 +228,6 @@ let fresh_env () =
 let check_block stmts =
   let env = fresh_env () in
   List.iter (walk_stmt env) stmts;
-  let mutating = block_mutates stmts in
-  let shard_safe =
-    (not mutating)
-    && List.for_all (fun (_, (_, spec)) -> Accum.Spec.shard_exact spec) env.decls
-    && not (List.exists stmt_accum_assigns stmts)
-  in
-  { (finish env) with mutating; shard_safe }
+  { (finish env) with mutating = block_mutates stmts }
 
 let check_query (q : Ast.query) = check_block q.Ast.q_body

@@ -26,14 +26,6 @@ type info = {
           attribute assignment in ACCUM/POST_ACCUM or an INSERT anywhere
           in the body — the service routes such queries through the
           single-writer lane (docs/DURABILITY.md) *)
-  shard_safe : bool;
-      (** true when ACCUM phases may execute as per-shard partials merged
-          at the barrier with bit-identical results: the block is
-          read-only, every declared accumulator is
-          {!Accum.Spec.shard_exact}, and no ACCUM clause contains an [=]
-          assignment (last-writer-wins is order-sensitive).  Plans of
-          unsafe queries fall back to single-shard ACCUM execution —
-          docs/SHARDING.md *)
 }
 
 val check_query : Ast.query -> info

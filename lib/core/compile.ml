@@ -604,7 +604,7 @@ let exec_conjunct env (cj : cconj) (bt : fbt) : fbt =
         && (match dst_pinned with None -> true | Some p -> v = p)
       in
       pairs_of_bindings
-        (Pathsem.Engine.match_pairs ?shards:ctx.E.partition ctx.E.graph darpe
+        (Pathsem.Engine.match_pairs ctx.E.graph darpe
            ctx.E.semantics ~sources ~dst_ok)
   in
   let result =
@@ -775,12 +775,6 @@ let child_lines ops = List.concat_map (fun o -> indent o.op_lines) ops
 
 let m_selects = Obs.Metrics.counter "compile.select_blocks"
 let h_select_ms = Obs.Metrics.histogram "compile.select_ms"
-let m_sharded_accum = Obs.Metrics.counter "compile.accum.sharded_passes"
-
-(* Below this many binding rows a sharded ACCUM pass stays on the driver
-   domain (still grouped by shard, so the groupwise-commit path is
-   exercised even by small fixtures). *)
-let accum_shard_par_threshold = 256
 
 type cout = {
   co_into : string;
@@ -827,11 +821,7 @@ let sort_keys_cmp (ka, _, _) (kb, _, _) =
   in
   go ka kb
 
-(* [shard_safe] is the query-level verdict from Analyze: ACCUM phases of
-   this block may split into per-shard partials committed groupwise at
-   the barrier (read-only block, every declared accumulator
-   Spec.shard_exact, no [=] assignment in any ACCUM clause). *)
-let compile_select (schema : Pgraph.Schema.t option) ~shard_safe (binding : string option)
+let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     (b : Ast.select_block) : op =
   let v_aliases, e_aliases = E.collect_aliases b.Ast.s_from in
   let nv = Array.length v_aliases and ne = Array.length e_aliases in
@@ -962,109 +952,25 @@ let compile_select (schema : Pgraph.Schema.t option) ~shard_safe (binding : stri
       post_groups
   in
   let run_kernel env phase kernel = List.iter (fun f -> f env phase) kernel in
-  let exec_accum_seq env bt =
-    let phase = Accum.Store.begin_phase env.ctx.E.store in
-    let locals = Array.make (max 1 acc_nlocals) unset in
-    env.locals <- locals;
-    let overlay = if acc_overlay then Some (Hashtbl.create 8) else None in
-    env.overlay <- overlay;
-    for r = 0 to bt.f_n - 1 do
-      Interrupt.tick ();
-      env.base <- r * bt.f_stride;
-      env.mult <- bt.f_mult.(r);
-      if acc_nlocals > 0 then Array.fill locals 0 acc_nlocals unset;
-      (match overlay with Some o -> Hashtbl.reset o | None -> ());
-      run_kernel env phase acc_kernel
-    done;
-    Accum.Store.commit env.ctx.E.store phase
-  in
-  (* Sharded ACCUM: rows are grouped by the owning shard of the row's
-     head vertex, each group buffers into its own phase (possibly on its
-     own domain), and all phases commit in ascending shard order at the
-     barrier.  Only taken when Analyze proved the block shard-exact, so
-     the groupwise commit is a permutation of a single phase's ops with
-     bit-identical results; [Interrupted] mid-pass aborts before any
-     commit (never torn). *)
-  let exec_accum_sharded env bt part =
-    let shards = Shard.Partition.shard_count part in
-    let owners = Shard.Partition.owners part in
-    let nvg = Array.length owners in
-    let counts = Array.make shards 0 in
-    let shard_of = Array.make (max 1 bt.f_n) 0 in
-    for r = 0 to bt.f_n - 1 do
-      let v = bt.f_data.(r * bt.f_stride) in
-      let s = if v >= 0 && v < nvg then owners.(v) else 0 in
-      shard_of.(r) <- s;
-      counts.(s) <- counts.(s) + 1
-    done;
-    let rows = Array.init shards (fun s -> Array.make counts.(s) 0) in
-    let fill = Array.make shards 0 in
-    for r = 0 to bt.f_n - 1 do
-      let s = shard_of.(r) in
-      rows.(s).(fill.(s)) <- r;
-      fill.(s) <- fill.(s) + 1
-    done;
-    let store = env.ctx.E.store in
-    let phases = Array.init shards (fun _ -> Accum.Store.begin_phase store) in
-    let run_shard s =
-      let rs = rows.(s) in
-      if Array.length rs > 0 then begin
-        let locals = Array.make (max 1 acc_nlocals) unset in
-        let senv = { env with locals; overlay = None } in
-        let phase = phases.(s) in
-        Array.iter
-          (fun r ->
-            Interrupt.tick ();
-            senv.base <- r * bt.f_stride;
-            senv.mult <- bt.f_mult.(r);
-            if acc_nlocals > 0 then Array.fill locals 0 acc_nlocals unset;
-            run_kernel senv phase acc_kernel)
-          rs
-      end
-    in
-    let active = ref [] in
-    for s = shards - 1 downto 0 do
-      if counts.(s) > 0 then active := s :: !active
-    done;
-    let workers = Accum.Parallel.default_workers (List.length !active) in
-    (if workers <= 1 || bt.f_n < accum_shard_par_threshold then
-       List.iter run_shard !active
-     else
-       match !active with
-       | [] -> ()
-       | first :: rest ->
-         let budget = Interrupt.current () in
-         let domains =
-           List.map
-             (fun s ->
-               Domain.spawn (fun () ->
-                   Interrupt.with_current budget (fun () -> run_shard s)))
-             rest
-         in
-         let mine = try Ok (run_shard first) with e -> Error e in
-         let joined =
-           List.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
-         in
-         (match mine with Error e -> raise e | Ok () -> ());
-         List.iter (function Ok () -> () | Error e -> raise e) joined);
-    (* barrier: merge per-shard partials, shard order *)
-    Array.iter (fun ph -> Accum.Store.commit store ph) phases;
-    Obs.Metrics.incr m_sharded_accum 1
-  in
   let exec_accum env bt =
     if acc_kernel <> [] then
       Obs.Trace.span "accum" (fun () ->
           if Obs.Trace.enabled () then
             Obs.Trace.set_attr "rows" (Obs.Json.Int bt.f_n);
-          match env.ctx.E.partition with
-          | Some part
-            when shard_safe && nv > 0 && bt.f_n > 0
-                 && Shard.Partition.shard_count part > 1 ->
-            if Obs.Trace.enabled () then
-              Obs.Trace.set_attr "shards"
-                (Obs.Json.Int (Shard.Partition.shard_count part));
-            exec_accum_sharded env bt part
-          | _ -> exec_accum_seq env bt)
+          let phase = Accum.Store.begin_phase env.ctx.E.store in
+          let locals = Array.make (max 1 acc_nlocals) unset in
+          env.locals <- locals;
+          let overlay = if acc_overlay then Some (Hashtbl.create 8) else None in
+          env.overlay <- overlay;
+          for r = 0 to bt.f_n - 1 do
+            Interrupt.tick ();
+            env.base <- r * bt.f_stride;
+            env.mult <- bt.f_mult.(r);
+            if acc_nlocals > 0 then Array.fill locals 0 acc_nlocals unset;
+            (match overlay with Some o -> Hashtbl.reset o | None -> ());
+            run_kernel env phase acc_kernel
+          done;
+          Accum.Store.commit env.ctx.E.store phase)
   in
   let exec_post env bt =
     if cgroups <> [] then
@@ -1444,11 +1350,10 @@ let resolve_set_types ctx types =
            | None -> E.error "unknown vertex type %s" ty)
          types)
 
-let rec compile_stmt (schema : Pgraph.Schema.t option) ~shard_safe
-    (s : Ast.stmt) : op =
+let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
   match s with
   | Ast.S_select (binding, blk) when blk.Ast.s_group_by = [] ->
-    compile_select schema ~shard_safe binding blk
+    compile_select schema binding blk
   | Ast.S_select (_, blk) ->
     fallback_op s ("select (group-by) " ^ Ast.select_signature blk)
   | Ast.S_print _ -> fallback_op s "print"
@@ -1568,7 +1473,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) ~shard_safe
   | Ast.S_while (cond, limit, body) ->
     let ccond = compile_bool gscope cond in
     let climit = Option.map (compile_expr gscope) limit in
-    let cbody = List.map (compile_stmt schema ~shard_safe) body in
+    let cbody = List.map (compile_stmt schema) body in
     { op_exec =
         (fun env ->
           Interrupt.tick ();
@@ -1590,8 +1495,8 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) ~shard_safe
       op_compiled = 1 + sum_compiled cbody }
   | Ast.S_if (cond, th, el) ->
     let ccond = compile_bool gscope cond in
-    let cth = List.map (compile_stmt schema ~shard_safe) th in
-    let cel = List.map (compile_stmt schema ~shard_safe) el in
+    let cth = List.map (compile_stmt schema) th in
+    let cel = List.map (compile_stmt schema) el in
     { op_exec =
         (fun env ->
           Interrupt.tick ();
@@ -1603,7 +1508,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) ~shard_safe
       op_compiled = 1 + sum_compiled cth + sum_compiled cel }
   | Ast.S_foreach (x, e, body) ->
     let ce = compile_expr gscope e in
-    let cbody = List.map (compile_stmt schema ~shard_safe) body in
+    let cbody = List.map (compile_stmt schema) body in
     { op_exec =
         (fun env ->
           Interrupt.tick ();
@@ -1666,12 +1571,9 @@ type plan = {
   p_total : int;
   p_compiled : int;
   p_describe : string;
-  p_shard_safe : bool;
 }
 
-let shard_safe plan = plan.p_shard_safe
-
-let finish_plan ?(shard_safe = false) query primed ops t0 =
+let finish_plan query primed ops t0 =
   let total = sum_total ops and compiled = sum_compiled ops in
   let header =
     Printf.sprintf "plan: %d ops (%d compiled, %d interpreted)" total compiled
@@ -1684,8 +1586,7 @@ let finish_plan ?(shard_safe = false) query primed ops t0 =
     p_total = total;
     p_compiled = compiled;
     p_describe =
-      String.concat "\n" (header :: List.concat_map (fun o -> indent o.op_lines) ops);
-    p_shard_safe = shard_safe }
+      String.concat "\n" (header :: List.concat_map (fun o -> indent o.op_lines) ops) }
 
 let compile ?schema (q : Ast.query) =
   let t0 = Unix.gettimeofday () in
@@ -1693,9 +1594,8 @@ let compile ?schema (q : Ast.query) =
   (match info.Analyze.errors with
    | [] -> ()
    | errs -> E.error "analysis failed: %s" (String.concat "; " errs));
-  let shard_safe = info.Analyze.shard_safe in
-  let ops = List.map (compile_stmt schema ~shard_safe) q.Ast.q_body in
-  finish_plan ~shard_safe (Some q) info.Analyze.primed ops t0
+  let ops = List.map (compile_stmt schema) q.Ast.q_body in
+  finish_plan (Some q) info.Analyze.primed ops t0
 
 let compile_block ?schema stmts =
   let t0 = Unix.gettimeofday () in
@@ -1703,11 +1603,10 @@ let compile_block ?schema stmts =
   (match info.Analyze.errors with
    | [] -> ()
    | errs -> E.error "analysis failed: %s" (String.concat "; " errs));
-  let shard_safe = info.Analyze.shard_safe in
-  let ops = List.map (compile_stmt schema ~shard_safe) stmts in
-  finish_plan ~shard_safe None info.Analyze.primed ops t0
+  let ops = List.map (compile_stmt schema) stmts in
+  finish_plan None info.Analyze.primed ops t0
 
-let run plan ?semantics ?partition ~params graph =
+let run plan ?semantics ~params graph =
   let sem =
     match plan.p_query with
     | Some q ->
@@ -1715,7 +1614,7 @@ let run plan ?semantics ?partition ~params graph =
       E.query_semantics ?semantics q
     | None -> (match semantics with Some s -> s | None -> Sem.All_shortest)
   in
-  let ctx = E.make_ctx ?partition graph sem params plan.p_primed in
+  let ctx = E.make_ctx graph sem params plan.p_primed in
   let env =
     { ctx;
       data = [||];

@@ -36,18 +36,10 @@ val compile_block : ?schema:Pgraph.Schema.t -> Ast.stmt list -> plan
 (** Lowers a bare statement block ("interpreted query" sources). *)
 
 val run :
-  plan -> ?semantics:Pathsem.Semantics.t -> ?partition:Shard.Partition.t ->
+  plan -> ?semantics:Pathsem.Semantics.t ->
   params:(string * Pgraph.Value.t) list -> Pgraph.Graph.t -> Eval.result
 (** Executes the plan.  Parameter checking, semantics resolution and error
-    wrapping match {!Eval.run_query} exactly.  When [partition] has more
-    than one shard, path matching runs as BSP supersteps over it and —
-    for {!shard_safe} plans — ACCUM passes execute as per-shard partials
-    merged at the snapshot barrier; results are bit-identical to the
-    single-shard run (docs/SHARDING.md). *)
-
-val shard_safe : plan -> bool
-(** Whether ACCUM passes of this plan may shard ({!Analyze.info.shard_safe}
-    verdict captured at compile time). *)
+    wrapping match {!Eval.run_query} exactly. *)
 
 val compile_ms : plan -> float
 (** Wall-clock milliseconds spent lowering (the install-time cost). *)

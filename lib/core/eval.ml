@@ -31,11 +31,6 @@ type ctx = {
   print_buf : Buffer.t;
   mutable returned : rt_value option;
   primed : string list;  (* accumulator families used with ' *)
-  mutable partition : Shard.Partition.t option;
-      (* when set (and holding > 1 shard), path matching runs as BSP
-         supersteps over the partition and shard-safe compiled ACCUM
-         phases split into per-shard partials — results are identical
-         either way (the shards=1 ≡ shards=N differential contract) *)
 }
 
 exception Returned
@@ -454,7 +449,7 @@ let eval_conjunct ctx ~(alias_pred : string -> int -> bool) (bt : binding_table)
       List.map
         (fun (b : Pathsem.Engine.binding) ->
           (b.Pathsem.Engine.b_src, b.Pathsem.Engine.b_dst, -1, b.Pathsem.Engine.b_mult))
-        (Pathsem.Engine.match_pairs ?shards:ctx.partition ctx.graph darpe ctx.semantics
+        (Pathsem.Engine.match_pairs ctx.graph darpe ctx.semantics
            ~sources ~dst_ok:dst_pred)
   in
   if bt.rows = [] then
@@ -1283,7 +1278,7 @@ let finish ctx =
     r_return = ctx.returned;
     r_vsets = List.sort compare vsets }
 
-let make_ctx ?partition graph semantics params primed =
+let make_ctx graph semantics params primed =
   let ctx =
     { graph;
       store = Accum.Store.create ();
@@ -1292,24 +1287,23 @@ let make_ctx ?partition graph semantics params primed =
       tables = [];
       print_buf = Buffer.create 256;
       returned = None;
-      primed;
-      partition }
+      primed }
   in
   List.iter (fun (name, v) -> Hashtbl.replace ctx.vars name (R_scalar v)) params;
   ctx
 
-let run_checked ?partition graph semantics params stmts (info : Analyze.info) =
+let run_checked graph semantics params stmts (info : Analyze.info) =
   (match info.Analyze.errors with
    | [] -> ()
    | errs -> error "analysis failed: %s" (String.concat "; " errs));
-  let ctx = make_ctx ?partition graph semantics params info.Analyze.primed in
+  let ctx = make_ctx graph semantics params info.Analyze.primed in
   (try List.iter (exec_stmt ctx) stmts with
    | Returned -> ()
    | V.Type_error msg -> error "type error: %s" msg);
   finish ctx
 
-let run_block graph ?(semantics = Sem.All_shortest) ?(params = []) ?partition stmts =
-  run_checked ?partition graph semantics params stmts (Analyze.check_block stmts)
+let run_block graph ?(semantics = Sem.All_shortest) ?(params = []) stmts =
+  run_checked graph semantics params stmts (Analyze.check_block stmts)
 
 let query_semantics ?semantics (q : Ast.query) =
   match semantics, q.Ast.q_semantics with
@@ -1337,17 +1331,17 @@ let check_params (q : Ast.query) params =
         if not ok then error "parameter %s has the wrong type" p.Ast.p_name)
     q.Ast.q_params
 
-let run_query graph ?semantics ?partition ~params (q : Ast.query) =
+let run_query graph ?semantics ~params (q : Ast.query) =
   let sem = query_semantics ?semantics q in
   check_params q params;
-  run_checked ?partition graph sem params q.Ast.q_body (Analyze.check_query q)
+  run_checked graph sem params q.Ast.q_body (Analyze.check_query q)
 
-let run_source graph ?semantics ?partition ?(params = []) src =
+let run_source graph ?semantics ?(params = []) src =
   match Parser.parse_query src with
-  | q -> run_query graph ?semantics ?partition ~params q
+  | q -> run_query graph ?semantics ~params q
   | exception Parser.Error _ ->
     let stmts = Parser.parse_block src in
-    run_block graph ?semantics:(semantics : Sem.t option) ?partition ~params stmts
+    run_block graph ?semantics:(semantics : Sem.t option) ~params stmts
 
 let table result name =
   match List.assoc_opt name result.r_tables with

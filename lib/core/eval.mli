@@ -29,22 +29,19 @@ type result = {
 }
 
 val run_query :
-  Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t -> ?partition:Shard.Partition.t ->
+  Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
   params:(string * Pgraph.Value.t) list -> Ast.query -> result
 (** Analyzes ({!Analyze.check_query}) and executes the query.  Raises
     {!Runtime_error} on analysis errors, missing/ill-typed parameters, or
-    execution failures.  When [partition] holds more than one shard, path
-    matching runs as BSP supersteps over it (identical results — see
-    docs/SHARDING.md). *)
+    execution failures. *)
 
 val run_block :
   Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
-  ?params:(string * Pgraph.Value.t) list -> ?partition:Shard.Partition.t ->
-  Ast.stmt list -> result
+  ?params:(string * Pgraph.Value.t) list -> Ast.stmt list -> result
 (** Executes a bare statement block ("interpreted query"). *)
 
 val run_source :
-  Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t -> ?partition:Shard.Partition.t ->
+  Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
   ?params:(string * Pgraph.Value.t) list -> string -> result
 (** Parses a single [CREATE QUERY] definition (or, failing that, a bare
     statement block) and runs it. *)
@@ -75,9 +72,6 @@ type ctx = {
   print_buf : Buffer.t;
   mutable returned : rt_value option;
   primed : string list;  (** accumulator families used with ['] *)
-  mutable partition : Shard.Partition.t option;
-      (** sharded execution: supersteps for path matching, per-shard
-          ACCUM partials for shard-safe compiled plans *)
 }
 
 exception Returned
@@ -129,7 +123,6 @@ val exec_stmt : ctx -> Ast.stmt -> unit
     compiled plans call this for constructs they leave interpreted. *)
 
 val make_ctx :
-  ?partition:Shard.Partition.t ->
   Pgraph.Graph.t -> Pathsem.Semantics.t -> (string * Pgraph.Value.t) list ->
   string list -> ctx
 

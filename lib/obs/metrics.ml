@@ -5,8 +5,8 @@
    recording call — the disabled path is one load + branch, no allocation,
    no lock.  Enabled-path mutation, registration and snapshotting all run
    under one global mutex; the instruments are simple scalar cells, so a
-   single lock (held for a few loads/stores) beats per-instrument locks or
-   sharding at this registry's size. *)
+   single lock (held for a few loads/stores) beats per-instrument or
+   striped locks at this registry's size. *)
 type counter = { mutable c_value : int }
 type gauge = { mutable g_value : float; mutable g_set : bool }
 

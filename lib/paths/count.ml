@@ -234,25 +234,6 @@ let single_source ?scratch g dfa src =
         Obs.Trace.set_attr "paths_total" (Obs.Json.Float !paths);
         r)
 
-(* Sharded product-BFS driver: same inputs, same source_result, but the
-   BFS runs as BSP supersteps over a vertex partition with cross-shard
-   frontier messages (Shard.Superstep).  Results are bit-identical to
-   single_source for any shard count — the per-level state sets match and
-   Bignat count accumulation is order-invariant — which the shards=1 ≡
-   shards=N property suite pins. *)
-let single_source_sharded ?state ?workers part (dfa : Darpe.Dfa.t) src =
-  let state = match state with Some s -> s | None -> Shard.Superstep.create_state part in
-  let run () =
-    let sr_dist, sr_count = Shard.Superstep.run_source ?workers state dfa src in
-    { sr_src = src; sr_dist; sr_count }
-  in
-  if not (Obs.Trace.enabled ()) then run ()
-  else
-    Obs.Trace.span "bfs_sharded" (fun () ->
-        Obs.Trace.set_attr "src" (Obs.Json.Int src);
-        Obs.Trace.set_attr "shards" (Obs.Json.Int (Shard.Partition.shard_count part));
-        run ())
-
 let single_pair g dfa s t =
   let r = single_source g dfa s in
   if r.sr_dist.(t) = -1 then None else Some (r.sr_dist.(t), r.sr_count.(t))

@@ -45,21 +45,6 @@ val single_source : ?scratch:scratch -> Pgraph.Graph.t -> Darpe.Dfa.t -> int -> 
     Complexity O((|V| + |E|)·|DFA|) BFS steps plus big-number additions.
     [scratch] defaults to a fresh one. *)
 
-val single_source_sharded :
-  ?state:Shard.Superstep.state ->
-  ?workers:int ->
-  Shard.Partition.t ->
-  Darpe.Dfa.t ->
-  int ->
-  source_result
-(** [single_source_sharded part dfa s] — the same single-source SDMC
-    result computed as BSP supersteps over [part]'s shards with
-    cross-shard frontier exchange ({!Shard.Superstep}).  Bit-identical
-    to {!single_source} on [part]'s graph for any shard count (pinned by
-    a property suite); the per-superstep governor charge also matches the
-    unsharded kernel's per-hop charge.  [state] carries scratch across
-    sources; [workers] bounds per-superstep domain fan-out. *)
-
 val single_source_legacy : Pgraph.Graph.t -> Darpe.Dfa.t -> int -> source_result
 (** The pre-CSR reference kernel (Vec-of-half adjacency, list frontiers).
     Same results as {!single_source} — pinned by a property test — but

@@ -135,42 +135,12 @@ let count_parallel ~workers g dfa ~mult_of ~dst_ok (sources : int array) =
          List.concat (List.rev (first_out :: outs)))
   end
 
-(* Sharded counting: every source runs as BSP supersteps over the
-   partition (Shard.Superstep), sources in order on the calling domain —
-   parallelism lives *within* a source (one domain per shard when the
-   frontier is wide), not across sources, so the per-source fan-out above
-   is deliberately not stacked on top.  Bindings are pushed newest-first
-   over sources in order: byte-identical ordering to the sequential and
-   fanned-out paths. *)
-let count_sharded part ~workers dfa ~mult_of ~dst_ok (sources : int array) =
-  let state = Shard.Superstep.create_state part in
-  let out = ref [] in
-  Array.iter
-    (fun src ->
-      Interrupt.tick ();
-      let r = Count.single_source_sharded ~state ?workers part dfa src in
-      Array.iteri
-        (fun dst d ->
-          if d >= 0 && dst_ok dst then
-            out :=
-              { b_src = src; b_dst = dst; b_mult = mult_of r.Count.sr_count.(dst); b_dist = d }
-              :: !out)
-        r.Count.sr_dist)
-    sources;
-  !out
-
-let count_any ?shards ~workers g dfa ~mult_of ~dst_ok sources =
-  match shards with
-  | Some part when Shard.Partition.shard_count part > 1 ->
-    count_sharded part ~workers dfa ~mult_of ~dst_ok sources
-  | _ -> count_parallel ~workers g dfa ~mult_of ~dst_ok sources
-
-let match_pairs_inner ?workers ?shards g ast sem ~sources ~dst_ok =
+let match_pairs_inner ?workers g ast sem ~sources ~dst_ok =
   let dfa = compile g ast in
   match (sem : Semantics.t) with
-  | Semantics.All_shortest -> count_any ?shards ~workers g dfa ~mult_of:Fun.id ~dst_ok sources
+  | Semantics.All_shortest -> count_parallel ~workers g dfa ~mult_of:Fun.id ~dst_ok sources
   | Semantics.Existential ->
-    count_any ?shards ~workers g dfa ~mult_of:(fun _ -> B.one) ~dst_ok sources
+    count_parallel ~workers g dfa ~mult_of:(fun _ -> B.one) ~dst_ok sources
   | Semantics.Shortest_enumerated
   | Semantics.Non_repeated_edge
   | Semantics.Non_repeated_vertex
@@ -204,20 +174,16 @@ let engine_name (sem : Semantics.t) =
   | Semantics.Shortest_enumerated | Semantics.Non_repeated_edge | Semantics.Non_repeated_vertex
   | Semantics.Unrestricted_bounded _ -> "enumeration"
 
-let match_pairs ?workers ?shards g ast sem ~sources ~dst_ok =
+let match_pairs ?workers g ast sem ~sources ~dst_ok =
   Obs.Metrics.incr m_matches 1;
-  if not (Obs.Trace.enabled ()) then match_pairs_inner ?workers ?shards g ast sem ~sources ~dst_ok
+  if not (Obs.Trace.enabled ()) then match_pairs_inner ?workers g ast sem ~sources ~dst_ok
   else
     Obs.Trace.span "path_match" (fun () ->
         Obs.Trace.set_attr "darpe" (Obs.Json.Str (Darpe.Ast.to_string ast));
         Obs.Trace.set_attr "semantics" (Obs.Json.Str (Semantics.to_string sem));
         Obs.Trace.set_attr "engine" (Obs.Json.Str (engine_name sem));
         Obs.Trace.set_attr "sources" (Obs.Json.Int (Array.length sources));
-        (match shards with
-         | Some part ->
-           Obs.Trace.set_attr "shards" (Obs.Json.Int (Shard.Partition.shard_count part))
-         | None -> ());
-        let bindings = match_pairs_inner ?workers ?shards g ast sem ~sources ~dst_ok in
+        let bindings = match_pairs_inner ?workers g ast sem ~sources ~dst_ok in
         Obs.Trace.set_attr "bindings" (Obs.Json.Int (List.length bindings));
         let mult =
           List.fold_left (fun acc b -> acc +. B.to_float b.b_mult) 0.0 bindings

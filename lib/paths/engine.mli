@@ -20,18 +20,11 @@ val compile : Pgraph.Graph.t -> Darpe.Ast.t -> Darpe.Dfa.t
 (** Compiles (and memoizes per graph schema) the DARPE's DFA. *)
 
 val match_pairs :
-  ?workers:int -> ?shards:Shard.Partition.t -> Pgraph.Graph.t -> Darpe.Ast.t -> Semantics.t ->
+  ?workers:int -> Pgraph.Graph.t -> Darpe.Ast.t -> Semantics.t ->
   sources:int array -> dst_ok:(int -> bool) -> binding list
 (** [match_pairs g d sem ~sources ~dst_ok] evaluates the pattern
     [src -(d)- dst] for [src] ranging over [sources] and targets filtered by
     [dst_ok].
-
-    When [shards] carries a partition with more than one shard, the
-    counting semantics run each source as BSP supersteps over the shards
-    with cross-shard frontier exchange ({!Shard.Superstep}) instead of
-    the per-source fan-out — parallelism within a source rather than
-    across sources.  Binding lists (order included) are identical either
-    way; the enumerative semantics ignore [shards].
 
     Under the counting semantics ([All_shortest]/[Existential]) sources fan
     out across domains in contiguous balanced slices ({!Accum.Parallel}'s

@@ -118,8 +118,13 @@ let read_one t =
      (match Unix.select [ t.fd ] [] [] timeout with
       | [], _, _ -> raise (Error "receive timeout")
       | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> raise (Error "receive timeout")));
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> raise (Error "receive timeout")
+      | exception Unix.Unix_error (e, _, _) -> raise (Error (Unix.error_message e))));
+  (* A peer reset (e.g. right after a connection-limit refusal) is a
+     transport failure like EOF, so it surfaces as [Error], not as a raw
+     [Unix.Unix_error] that [invoke]'s retry would never see. *)
   match P.read_frame t.fd with
+  | exception Unix.Unix_error (e, _, _) -> raise (Error (Unix.error_message e))
   | Result.Error `Eof -> raise (Error "connection closed by server")
   | Result.Error (`Err msg) -> raise (Error msg)
   | Ok payload ->

@@ -23,7 +23,8 @@ type t
 
 exception Error of string
 (** Transport failure: refused/oversized frame, unparsable response, a
-    connection closed mid-call, or a receive timeout. *)
+    connection closed or reset mid-call, or a receive timeout.  No
+    [Unix.Unix_error] escapes {!call}, {!send} or {!recv}. *)
 
 val connect : ?recv_timeout_ms:int -> Server.endpoint -> t
 (** Raises [Unix.Unix_error] when nothing listens there.

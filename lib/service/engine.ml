@@ -31,15 +31,6 @@ type t = {
      jobs queued so workers don't pile up here, but correctness never
      depends on that routing. *)
   persist : Store.Persist.t option;  (* durability; None = memory-only *)
-  shards : int;
-  (* Sharded execution: when >= 2, read-path invocations run over a
-     hash-partitioned view of the published graph (BSP supersteps for
-     path matching, per-shard ACCUM partials for shard-safe plans) with
-     bit-identical results — docs/SHARDING.md. *)
-  mutable partition : (int * Shard.Partition.t) option;
-  (* Version-memoized partition of the published graph; rebuilt lazily
-     after every commit/reload.  Never used for mutating executions
-     (those run against an unpublished clone). *)
   mutable interp : bool;
   (* Escape hatch: execute installed queries through the Eval oracle
      instead of their compiled plans (GSQL_INTERP=1, or set_interp for
@@ -68,8 +59,7 @@ type prepared = {
 }
 
 let create ?(cache_capacity = 128) ?semantics ?(limits = Interrupt.no_limits) ?persist
-    ?(shards = 1) ?(version = 0) ~graph () =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
+    ?(version = 0) ~graph () =
   { catalog = Gsql.Catalog.create ();
     cache = Cache.create ~capacity:cache_capacity ();
     semantics;
@@ -77,8 +67,6 @@ let create ?(cache_capacity = 128) ?semantics ?(limits = Interrupt.no_limits) ?p
     lock = Mutex.create ();
     write_lock = Mutex.create ();
     persist;
-    shards;
-    partition = None;
     interp =
       (match Sys.getenv_opt "GSQL_INTERP" with
        | Some ("1" | "true" | "yes") -> true
@@ -107,7 +95,6 @@ let persistent t = t.persist <> None
 
 let set_interp t b = locked t (fun () -> t.interp <- b)
 let use_interp t = locked t (fun () -> t.interp)
-let shard_count t = t.shards
 
 let role t = locked t (fun () -> t.role)
 let set_role t r = locked t (fun () -> t.role <- r)
@@ -134,46 +121,19 @@ let role_refusal = function
            Printf.sprintf "stood down: observed epoch %d above this node's; writes here would split-brain" e,
            P.no_hint ))
 
-(* The partition of the published graph, memoized per version.  Built
-   outside the engine lock (the underlying CSR memo has its own
-   build-in-progress latch) with a double-checked install so a racing
-   builder's duplicate is simply dropped. *)
-let partition_for t g version =
-  if t.shards <= 1 then None
-  else
-    match
-      locked t (fun () ->
-          match t.partition with
-          | Some (v, p) when v = version -> Some p
-          | _ -> None)
-    with
-    | Some p -> Some p
-    | None ->
-      let p = Shard.Partition.create ~shards:t.shards g in
-      locked t (fun () ->
-          match t.partition with
-          | Some (v, p') when v = version -> Some p'
-          | _ ->
-            t.partition <- Some (version, p);
-            Some p)
-
 (* Dispatch one installed query: its compiled plan on the hot path, the
    tree-walking oracle behind the escape hatch.  Both run on the worker
    domain against whatever graph the caller pinned. *)
-let execute ?partition t (e : Gsql.Catalog.installed) g params =
+let execute t (e : Gsql.Catalog.installed) g params =
   if use_interp t then
-    Gsql.Eval.run_query g ?semantics:t.semantics ?partition ~params
-      e.Gsql.Catalog.i_query
-  else
-    Gsql.Compile.run e.Gsql.Catalog.i_plan ?semantics:t.semantics ?partition
-      ~params g
+    Gsql.Eval.run_query g ?semantics:t.semantics ~params e.Gsql.Catalog.i_query
+  else Gsql.Compile.run e.Gsql.Catalog.i_plan ?semantics:t.semantics ~params g
 
 let reload t g =
   let old = locked t (fun () ->
       let old = t.graph in
       t.graph <- g;
       t.version <- t.version + 1;
-      t.partition <- None;
       old)
   in
   (* Re-specialize every plan's CSR segment symbols against the new
@@ -318,7 +278,6 @@ let mutate t (iv : P.invoke) entry budget () =
                locked t (fun () ->
                    t.graph <- next;
                    t.version <- commit_version;
-                   t.partition <- None;
                    t.n_executed <- t.n_executed + 1;
                    t.n_commits <- t.n_commits + 1);
                Cache.clear t.cache;
@@ -396,7 +355,6 @@ let apply_batch t (batch : Store.Codec.batch) =
           locked t (fun () ->
               t.graph <- next;
               t.version <- batch.Store.Codec.b_version;
-              t.partition <- None;
               t.n_commits <- t.n_commits + 1);
           Cache.clear t.cache;
           Pgraph.Csr.invalidate base;
@@ -416,7 +374,6 @@ let install_snapshot t g ~version =
           let old = t.graph in
           t.graph <- g;
           t.version <- version;
-          t.partition <- None;
           old)
       in
       Gsql.Catalog.recompile ~schema:(Pgraph.Graph.schema g) t.catalog;
@@ -496,12 +453,9 @@ let prepare_invoke ?tenant_limits t (iv : P.invoke) =
            let budget = Interrupt.of_limits budget_limits in
            let thunk () =
              let t0 = Unix.gettimeofday () in
-             (* Partition lookup on the worker: the memoized build cost
-                lands off the coordinator thread. *)
-             let partition = partition_for t g version in
              match
                Interrupt.with_budget budget (fun () ->
-                   execute ?partition t entry g iv.P.iv_params)
+                   execute t entry g iv.P.iv_params)
              with
              | result ->
                let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -528,17 +482,6 @@ let stats t ~extra =
     locked t (fun () ->
         ( t.n_invocations, t.n_executed, t.n_errors, t.n_interrupted, t.version,
           t.n_commits, t.n_wal_errors, t.read_only ))
-  in
-  let shard_stats =
-    if t.shards <= 1 then
-      J.Obj
-        [ ("count", J.Int 1);
-          ("boundary_edges", J.Int 0);
-          ("balance", J.Float 1.0) ]
-    else
-      match partition_for t (graph t) (graph_version t) with
-      | Some p -> Shard.Partition.stats p
-      | None -> J.Obj [ ("count", J.Int t.shards) ]
   in
   let plan_stats =
     List.filter_map
@@ -577,6 +520,5 @@ let stats t ~extra =
           ( "read_only",
             match read_only with None -> J.Bool false | Some why -> J.Str why );
           ("cache", Cache.stats t.cache);
-          ("shards", shard_stats);
           ("csr", Pgraph.Csr.cache_stats ()) ]
        @ extra))

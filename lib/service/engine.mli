@@ -26,20 +26,13 @@ val create :
   ?semantics:Pathsem.Semantics.t ->
   ?limits:Interrupt.limits ->
   ?persist:Store.Persist.t ->
-  ?shards:int ->
   ?version:int ->
   graph:Pgraph.Graph.t -> unit -> t
 (** [limits] are the governor defaults for every execution (default
     {!Interrupt.no_limits}): [l_timeout_ms] is the deadline when the
     invoke carries none, [l_max_steps]/[l_max_rows] always apply.
     [persist] attaches a durability layer: every commit is WAL-logged
-    before publication.  [shards] (default 1) >= 2 runs read-path
-    invocations over a hash-partitioned view of the published graph
-    (BSP supersteps; per-shard ACCUM partials for shard-safe plans)
-    with bit-identical results — the partition is memoized per graph
-    version and rebuilt lazily after commits and reloads
-    (docs/SHARDING.md).  Raises [Invalid_argument] when [shards < 1].
-    [version] seeds the graph version — pass the recovered
+    before publication.  [version] seeds the graph version — pass the recovered
     {!Store.Persist.recovery.r_version} so post-restart commits
     continue the on-disk sequence. *)
 
@@ -111,9 +104,6 @@ val set_interp : t -> bool -> unit
 
 val use_interp : t -> bool
 
-val shard_count : t -> int
-(** The configured shard count (1 = sharding disabled). *)
-
 val reload : t -> Pgraph.Graph.t -> unit
 (** Swaps the graph, bumps the version, re-lowers every installed plan
     against the new schema ({!Gsql.Catalog.recompile}) and clears the
@@ -174,7 +164,5 @@ val invoke : t -> Protocol.invoke -> Protocol.response
 (** {1 Introspection} *)
 
 val stats : t -> extra:(string * Obs.Json.t) list -> Protocol.response
-(** Engine counters, catalog names, cache stats and shard topology (a
-    ["shards"] object with [count], [boundary_edges] and [balance]);
-    [extra] fields are appended by the server (connections, queue
+(** Engine counters, catalog names, plan and cache stats; [extra] fields are appended by the server (connections, queue
     depth, ...). *)

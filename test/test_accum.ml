@@ -273,6 +273,45 @@ let prop_order_invariance =
       && (not (Spec.order_invariant Spec.List_acc))
       && not (Spec.order_invariant Spec.Sum_string))
 
+(* k-way merge law behind Parallel.map_reduce: split the inputs
+   round-robin into k parts, fold each part on its own, merge the parts
+   in order, and require the sequential fold's exact state — for the
+   scalar, collection, nested-map and heap combiners. *)
+let merge_inputs spec rng n =
+  List.init n (fun _ ->
+      match spec with
+      | Spec.Or_acc | Spec.And_acc -> V.Bool (Pgraph.Prng.int rng 2 = 0)
+      | Spec.Map_acc _ ->
+        V.Vtuple [| V.Int (Pgraph.Prng.int rng 3); V.Int (Pgraph.Prng.int rng 5) |]
+      | Spec.Heap_acc _ ->
+        V.Vtuple [| V.Int (Pgraph.Prng.int rng 9); V.Int (Pgraph.Prng.int rng 9) |]
+      | _ -> V.Int (Pgraph.Prng.int rng 7 - 3))
+
+let fold_acc spec vs =
+  let a = Acc.create spec in
+  List.iter (Acc.input a) vs;
+  a
+
+let split_fold_merge spec k vs =
+  let parts = Array.make k [] in
+  List.iteri (fun i v -> parts.(i mod k) <- v :: parts.(i mod k)) vs;
+  let out = Acc.create spec in
+  Array.iter (fun p -> Acc.merge ~into:out (fold_acc spec (List.rev p))) parts;
+  out
+
+let prop_split_fold_merge =
+  QCheck.Test.make ~name:"split-fold-merge = sequential" ~count:80
+    (QCheck.pair QCheck.small_int (QCheck.int_range 0 20))
+    (fun (seed, n) ->
+      List.for_all
+        (fun spec ->
+          let vs = merge_inputs spec (Pgraph.Prng.create ((seed * 31) + n)) n in
+          let seq = fold_acc spec vs in
+          List.for_all (fun k -> Acc.equal seq (split_fold_merge spec k vs)) [ 2; 3; 5 ])
+        [ Spec.Sum_int; Spec.Min_acc; Spec.Max_acc; Spec.Or_acc; Spec.And_acc;
+          Spec.Set_acc; Spec.Bag_acc; Spec.Map_acc Spec.Sum_int;
+          Spec.Heap_acc { Spec.h_capacity = 3; h_fields = [ (0, Spec.Asc) ] } ])
+
 (* --- Store: snapshot semantics. --- *)
 
 let test_store_declarations () =
@@ -523,6 +562,26 @@ let test_default_workers () =
   Alcotest.(check bool) "bounded by recommendation" true
     (Accum.Parallel.default_workers max_int <= Domain.recommended_domain_count ())
 
+(* GSQL_WORKERS pins the default fan-out width, clamped to the recommended
+   domain count and the item count; unparsable or non-positive values are
+   ignored. *)
+let test_gsql_workers () =
+  let d = Domain.recommended_domain_count () in
+  Unix.putenv "GSQL_WORKERS" "1";
+  Alcotest.(check int) "pinned to 1" 1 (Accum.Parallel.default_workers 64);
+  Unix.putenv "GSQL_WORKERS" "999";
+  Alcotest.(check int) "clamped to recommended" (min 999 d)
+    (Accum.Parallel.default_workers 1024);
+  Unix.putenv "GSQL_WORKERS" "garbage";
+  Alcotest.(check int) "garbage ignored" (min d 64)
+    (Accum.Parallel.default_workers 64);
+  Unix.putenv "GSQL_WORKERS" "0";
+  Alcotest.(check int) "zero ignored" (min d 64)
+    (Accum.Parallel.default_workers 64);
+  Unix.putenv "GSQL_WORKERS" "";
+  Alcotest.(check int) "never exceeds items" 1
+    (Accum.Parallel.default_workers 1)
+
 let test_map_reduce_degenerate () =
   let spec = Accum.Spec.Sum_int in
   let run ?workers items =
@@ -566,6 +625,8 @@ let () =
           Alcotest.test_case "slices partition laws" `Quick test_slices_partition_laws;
           Alcotest.test_case "default workers" `Quick test_default_workers;
           Alcotest.test_case "map_reduce degenerate" `Quick test_map_reduce_degenerate ] );
+      ( "workers",
+        [ Alcotest.test_case "GSQL_WORKERS clamp" `Quick test_gsql_workers ] );
       ( "state",
         [ Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "merge" `Quick test_merge ] );
@@ -577,4 +638,5 @@ let () =
           Alcotest.test_case "prev values" `Quick test_store_prev;
           Alcotest.test_case "reset" `Quick test_store_reset ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_merge_is_homomorphism; prop_order_invariance ] ) ]
+        List.map QCheck_alcotest.to_alcotest [ prop_merge_is_homomorphism; prop_order_invariance ] );
+      ("merge laws", [ QCheck_alcotest.to_alcotest prop_split_fold_merge ]) ]

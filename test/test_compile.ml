@@ -370,6 +370,63 @@ let test_error_parity () =
   run_both {|Y = X UNION Z;|} [];
   run_both {|S = SELECT t FROM V:s -(NoSuchEdge>)- V:t ACCUM t.@x += 1;|} []
 
+(* Fixed blocks over a random two-edge-type graph, under every path
+   semantics (Existential included, which the random-DARPE property does
+   not draw): vertex/global accumulators of several kinds, ordered pair
+   projection across a two-step pattern, a float sum, and a destination
+   filter that reads a vertex accumulator.  That filter is pushed into
+   the per-source fan-out, so on a multi-core machine it runs on several
+   domains at once. *)
+let fixture_blocks =
+  [ ( "accum fanout",
+      {|SumAccum<int> @cnt;
+        SumAccum<int> @@rows;
+        MaxAccum @far;
+        R = SELECT t
+            FROM V:s -((E>|F>)*)- V:t
+            ACCUM t.@cnt += 1, t.@far += 1, @@rows += 1;
+        PRINT @@rows;
+        PRINT R[R.name, R.@cnt, R.@far];|} );
+    ( "set and bag",
+      {|SetAccum<string> @@names;
+        BagAccum<int> @@deg;
+        R = SELECT t
+            FROM V:s -(E>*1..2)- V:t
+            ACCUM @@names += t.name, @@deg += 1;
+        PRINT @@names;
+        PRINT @@deg;|} );
+    ( "ordered pairs",
+      {|SELECT s.name AS src, t.name AS dst INTO Pairs
+        FROM V:s -(E>.<F)- V:t
+        ORDER BY s.name ASC, t.name ASC;|} );
+    ( "float sum",
+      {|SumAccum<float> @@mass;
+        R = SELECT t FROM V:s -(E>)- V:t
+            ACCUM @@mass += 0.5;
+        PRINT @@mass;|} );
+    ( "accumulator dst filter",
+      {|SumAccum<int> @hits;
+        R = SELECT t FROM V:s -(E>*)- V:t ACCUM t.@hits += 1;
+        S = SELECT t
+            FROM V:s -((E>|F>)*1..3)- V:t
+            WHERE t.@hits < 2
+            ACCUM t.@hits += 1;
+        PRINT S[S.name, S.@hits];|} ) ]
+
+let test_fixture_semantics () =
+  List.iter
+    (fun sem ->
+      List.iter
+        (fun (label, src) ->
+          differential_block
+            (Printf.sprintf "%s %s" label (Sem.to_string sem))
+            ~semantics:sem
+            (fun () -> random_graph 5 18)
+            src)
+        fixture_blocks)
+    [ Sem.All_shortest; Sem.Non_repeated_edge; Sem.Non_repeated_vertex;
+      Sem.Existential ]
+
 (* The *0..0 identity fold (Cj_ident): the compiler replaces the
    empty-word-only DFA product with a direct (v, v) scan.  Must stay
    result-identical to the engine across semantics, filters on either
@@ -406,7 +463,8 @@ let () =
           Alcotest.test_case "khop (snb)" `Slow test_khop;
           Alcotest.test_case "common_friends (snb)" `Slow test_common_friends;
           Alcotest.test_case "all compile + describe" `Quick
-            test_all_queries_compile ] );
+            test_all_queries_compile;
+          Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest prop_random_darpe ] );
       ( "identity fold",

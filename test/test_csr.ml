@@ -321,6 +321,28 @@ let test_mvcc_publish_invalidates () =
     (json_int "invalidations" (C.cache_stats ()));
   Alcotest.(check int) "two paths post-commit" 2 (count_paths ())
 
+(* ------------------------------------------------------------------ *)
+(* Build latch: concurrent builders of one version coalesce            *)
+
+(* Service workers and the match_pairs fan-out can ask for the same
+   version's index at once; the memo's build-in-progress latch must hand
+   every caller the one CSR a single builder produced. *)
+let test_csr_build_latch () =
+  let g = random_mixed 13 4000 8000 in
+  let builds0 = json_int "builds" (C.cache_stats ()) in
+  let waits0 = json_int "build_waits" (C.cache_stats ()) in
+  let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> C.of_graph g)) in
+  (match List.map Domain.join domains with
+   | first :: rest ->
+     List.iter
+       (fun c -> Alcotest.(check bool) "same memoized CSR" true (c == first))
+       rest
+   | [] -> assert false);
+  Alcotest.(check int) "exactly one build" 1
+    (json_int "builds" (C.cache_stats ()) - builds0);
+  Alcotest.(check bool) "waits counted, never negative" true
+    (json_int "build_waits" (C.cache_stats ()) >= waits0)
+
 let () =
   Alcotest.run "csr"
     [ ( "structure",
@@ -335,4 +357,6 @@ let () =
       ( "invalidation",
         [ Alcotest.test_case "in-place mutation" `Quick test_inplace_mutation_invalidates;
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_gets_own_index;
-          Alcotest.test_case "MVCC publish" `Quick test_mvcc_publish_invalidates ] ) ]
+          Alcotest.test_case "MVCC publish" `Quick test_mvcc_publish_invalidates ] );
+      ( "csr latch",
+        [ Alcotest.test_case "concurrent builds coalesce" `Quick test_csr_build_latch ] ) ]

@@ -619,7 +619,7 @@ let fresh_socket_path =
       (Printf.sprintf "gsqlsvc_%d_%d.sock" (Unix.getpid ()) !counter)
 
 let with_server ?faults ?workers ?(queue_capacity = 64) ?(default_timeout_ms = 10_000)
-    ?(n = 10) ?(sources = [ count_paths_src ]) f =
+    ?(max_connections = 64) ?(n = 10) ?(sources = [ count_paths_src ]) f =
   let path = fresh_socket_path () in
   let engine = Service.Engine.create ~cache_capacity:32 ~graph:(diamond n) () in
   List.iter
@@ -633,7 +633,8 @@ let with_server ?faults ?workers ?(queue_capacity = 64) ?(default_timeout_ms = 1
     { (Service.Server.default_config (`Unix path)) with
       Service.Server.workers;
       queue_capacity;
-      default_timeout_ms }
+      default_timeout_ms;
+      max_connections }
   in
   let cfg = match faults with Some faults -> { cfg with Service.Server.faults } | None -> cfg in
   let server = Service.Server.create cfg engine in
@@ -668,6 +669,28 @@ let test_e2e_concurrent_clients () =
           let r = expect_result resp in
           Alcotest.check exec_result "same as direct Eval" expected r.rs_result)
         responses)
+
+(* A connection over the limit gets an id-0 overloaded frame and is
+   closed; whatever the client reads next (EOF or a peer reset) must
+   surface as Client.Error, never as a raw Unix_error. *)
+let test_e2e_connection_limit () =
+  with_server ~max_connections:1 (fun ep ->
+      let c1 = Service.Client.connect ep in
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close c1)
+        (fun () ->
+          (match Service.Client.ping c1 with
+           | P.Pong -> ()
+           | _ -> Alcotest.fail "first client should be served");
+          for _ = 1 to 5 do
+            let c2 = Service.Client.connect ep in
+            Fun.protect
+              ~finally:(fun () -> Service.Client.close c2)
+              (fun () ->
+                match Service.Client.ping c2 with
+                | _ -> Alcotest.fail "second client should be refused"
+                | exception Service.Client.Error _ -> ())
+          done))
 
 let test_e2e_cache_hit_on_repeat () =
   with_server (fun ep ->
@@ -890,6 +913,8 @@ let () =
       ( "e2e",
         [ Alcotest.test_case "concurrent clients" `Quick test_e2e_concurrent_clients;
           Alcotest.test_case "cache hit on repeat" `Quick test_e2e_cache_hit_on_repeat;
+          Alcotest.test_case "connection limit raises Client.Error" `Quick
+            test_e2e_connection_limit;
           Alcotest.test_case "timeout" `Quick test_e2e_timeout;
           Alcotest.test_case "overload sheds" `Quick test_e2e_overload_sheds;
           Alcotest.test_case "control plane" `Quick test_e2e_control_plane;
