@@ -1,6 +1,7 @@
 (* Interpreter-vs-compiled ablation (docs/COMPILER.md, docs/PERFORMANCE.md).
 
-   Runs the shipped parameterized queries (khop, common_friends) over an
+   Runs the shipped parameterized queries (khop, common_friends,
+   multigroup_gs — Appendix B's accumulator multi-grouping) over an
    SNB graph through both execution paths — the Eval tree-walker and the
    install-time closure plan — on a single thread, comparing cached-miss
    invoke latency.  Both paths must return byte-identical results (the
@@ -29,7 +30,9 @@ let cases =
   [ { c_file = "khop.gsql";
       c_params = [ ("firstName", V.Str "Jan"); ("hops", V.Int 2) ] };
     { c_file = "common_friends.gsql";
-      c_params = [ ("nameA", V.Str "Jan"); ("nameB", V.Str "Maria") ] } ]
+      c_params = [ ("nameA", V.Str "Jan"); ("nameB", V.Str "Maria") ] };
+    { c_file = "multigroup_gs.gsql";
+      c_params = [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012) ] } ]
 
 let getenv_float name default =
   match Sys.getenv_opt name with

@@ -55,38 +55,46 @@ let create (s : Spec.t) =
   { a_spec = s; st }
 
 (* Lexicographic tuple comparison for heap ordering; ties broken by full
-   value comparison so heap contents are deterministic. *)
-let heap_compare (hs : Spec.heap_spec) a b =
-  let field v i =
-    match v with
-    | V.Vtuple t when i < Array.length t -> t.(i)
-    | _ -> V.type_error "HeapAccum: input is not a wide-enough tuple"
-  in
-  let rec go = function
-    | [] -> V.compare a b
-    | (i, ord) :: rest ->
-      let c = V.compare (field a i) (field b i) in
-      if c <> 0 then (match ord with Spec.Asc -> c | Spec.Desc -> -c) else go rest
-  in
-  go hs.Spec.h_fields
+   value comparison so heap contents are deterministic.  Closure-free: it
+   runs once per retained element an input passes. *)
+let heap_field v i =
+  match v with
+  | V.Vtuple t when i < Array.length t -> t.(i)
+  | _ -> V.type_error "HeapAccum: input is not a wide-enough tuple"
 
+let rec heap_compare_fields fields a b =
+  match fields with
+  | [] -> V.compare a b
+  | (i, ord) :: rest ->
+    let c = V.compare (heap_field a i) (heap_field b i) in
+    if c <> 0 then (match ord with Spec.Asc -> c | Spec.Desc -> -c)
+    else heap_compare_fields rest a b
+
+let heap_compare (hs : Spec.heap_spec) a b = heap_compare_fields hs.Spec.h_fields a b
+
+(* Insert keeping the vector sorted best-first, then truncate.  An input
+   sorts after every retained element it does not beat (a tie never moves
+   ahead), so when the heap is full one that compares >= 0 against the
+   last element would be truncated again at once: reject it unpushed. *)
 let heap_insert hs vec v =
-  (* Insert keeping the vector sorted best-first, then truncate. *)
-  Pgraph.Vec.push vec v;
   let n = Pgraph.Vec.length vec in
-  let i = ref (n - 1) in
-  while !i > 0 && heap_compare hs (Pgraph.Vec.get vec !i) (Pgraph.Vec.get vec (!i - 1)) < 0 do
-    let tmp = Pgraph.Vec.get vec (!i - 1) in
-    Pgraph.Vec.set vec (!i - 1) (Pgraph.Vec.get vec !i);
-    Pgraph.Vec.set vec !i tmp;
-    decr i
-  done;
-  if Pgraph.Vec.length vec > hs.Spec.h_capacity then ignore (Pgraph.Vec.pop vec)
+  let cap = hs.Spec.h_capacity in
+  if n >= cap && (n = 0 || heap_compare hs v (Pgraph.Vec.get vec (n - 1)) >= 0) then ()
+  else begin
+    Pgraph.Vec.push vec v;
+    let i = ref n in
+    while !i > 0 && heap_compare hs v (Pgraph.Vec.get vec (!i - 1)) < 0 do
+      Pgraph.Vec.set vec !i (Pgraph.Vec.get vec (!i - 1));
+      decr i
+    done;
+    Pgraph.Vec.set vec !i v;
+    if Pgraph.Vec.length vec > cap then ignore (Pgraph.Vec.pop vec)
+  end
 
 let group_key_of_input nkeys v =
   match v with
-  | V.Vtuple [| V.Vtuple keys; V.Vtuple inputs |] when Array.length keys = nkeys ->
-    (V.Vtuple keys, inputs)
+  | V.Vtuple [| (V.Vtuple keys as key); V.Vtuple inputs |] when Array.length keys = nkeys ->
+    (key, inputs)
   | V.Vtuple [| k; inp |] when nkeys = 1 ->
     (* Single-key group-bys also accept the MapAccum-style (k -> v) pair the
        surface syntax produces. *)
@@ -150,7 +158,9 @@ let rec input a v =
         VH.add tbl key insts;
         insts
     in
-    Array.iteri (fun i inp -> if not (V.is_null inp) then input insts.(i) inp) inputs
+    for i = 0 to Array.length inputs - 1 do
+      if not (V.is_null inputs.(i)) then input insts.(i) inputs.(i)
+    done
   | S_custom (def, cur), _ -> a.st <- S_custom (def, def.Custom.combine cur v)
   | (S_map _ | S_heap _ | S_group _), _ -> assert false
 
@@ -220,7 +230,9 @@ let rec input_mult a v mu =
             VH.add tbl key insts;
             insts
         in
-        Array.iteri (fun i inp -> if not (V.is_null inp) then input_mult insts.(i) inp mu) inputs
+        for i = 0 to Array.length inputs - 1 do
+          if not (V.is_null inputs.(i)) then input_mult insts.(i) inputs.(i) mu
+        done
       | (S_string _ | S_list _), _ ->
         let reps = mult_to_int mu "an order-dependent accumulator" in
         for _ = 1 to reps do input a v done

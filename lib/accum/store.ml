@@ -25,8 +25,8 @@ type t = {
          and one that reads a vertex accumulator ([WHERE t.@seen == 0])
          reaches [vertex_acc]; a concurrent [Hashtbl.replace] on
          [vf_insts] would corrupt the table.  Everything else on the
-         store stays single-domain (ops are buffered per phase; commits
-         run on the driver). *)
+         store stays single-domain (ops are buffered or applied by the
+         driver's ACCUM loop, and commits run on the driver). *)
 }
 
 type op =
@@ -36,6 +36,8 @@ type op =
 type phase = {
   ph_store : t;
   ops : op Pgraph.Vec.t;
+  mutable direct_merges : int;   (* applied now by [apply_input] *)
+  mutable direct_assigns : int;
 }
 
 let create () =
@@ -100,14 +102,29 @@ let input_now t target v =
   | Global name -> Acc.input (global_acc t name) v
   | Vertex_acc (name, vid) -> Acc.input (vertex_acc t name vid) v
 
-let begin_phase t = { ph_store = t; ops = Pgraph.Vec.create () }
+let input_mult_now t target v mu =
+  match target with
+  | Global name -> Acc.input_mult (global_acc t name) v mu
+  | Vertex_acc (name, vid) -> Acc.input_mult (vertex_acc t name vid) v mu
+
+let begin_phase t =
+  { ph_store = t; ops = Pgraph.Vec.create (); direct_merges = 0; direct_assigns = 0 }
 
 let buffer_input ph target v mu = Pgraph.Vec.push ph.ops (Op_input (target, v, mu))
 let buffer_assign ph target v = Pgraph.Vec.push ph.ops (Op_assign (target, v))
 
-(* Telemetry (docs/OBSERVABILITY.md): merge/assign totals applied at the
-   reduce phase.  The counters are registry handles created once; feeding
-   them is a boolean check while telemetry is off. *)
+let apply_input ph target v mu =
+  ph.direct_merges <- ph.direct_merges + 1;
+  input_mult_now ph.ph_store target v mu
+
+let apply_assign ph target v =
+  ph.direct_assigns <- ph.direct_assigns + 1;
+  assign_now ph.ph_store target v
+
+(* Telemetry (docs/OBSERVABILITY.md): merge/assign totals of the phase,
+   buffered and directly applied alike.  The counters are registry
+   handles created once; feeding them is a boolean check while telemetry
+   is off. *)
 let m_commits = Obs.Metrics.counter "accum.commits"
 let m_merge_ops = Obs.Metrics.counter "accum.merge_ops"
 let m_assign_ops = Obs.Metrics.counter "accum.assign_ops"
@@ -115,14 +132,12 @@ let h_commit_ops = Obs.Metrics.histogram "accum.ops_per_commit"
 
 let commit t ph =
   if not (ph.ph_store == t) then invalid_arg "Store.commit: phase belongs to a different store";
-  let merges = ref 0 and assigns = ref 0 in
+  let merges = ref ph.direct_merges and assigns = ref ph.direct_assigns in
   Pgraph.Vec.iter
     (function
       | Op_input (target, v, mu) ->
         incr merges;
-        (match target with
-         | Global name -> Acc.input_mult (global_acc t name) v mu
-         | Vertex_acc (name, vid) -> Acc.input_mult (vertex_acc t name vid) v mu)
+        input_mult_now t target v mu
       | Op_assign (target, v) ->
         incr assigns;
         assign_now t target v)
@@ -139,7 +154,9 @@ let commit t ph =
     Obs.Trace.add_count "assign_ops" !assigns;
     Obs.Trace.add_count "commits" 1
   end;
-  Pgraph.Vec.clear ph.ops
+  Pgraph.Vec.clear ph.ops;
+  ph.direct_merges <- 0;
+  ph.direct_assigns <- 0
 
 let pending_ops ph = Pgraph.Vec.length ph.ops
 

@@ -64,8 +64,20 @@ val buffer_input : phase -> target -> Pgraph.Value.t -> Pgraph.Bignat.t -> unit
 val buffer_assign : phase -> target -> Pgraph.Value.t -> unit
 (** Queue [target = value]. *)
 
+val apply_input : phase -> target -> Pgraph.Value.t -> Pgraph.Bignat.t -> unit
+(** [target += value] with multiplicity, applied to the store now rather
+    than at {!commit}.  Only for a target that no acc-execution of this
+    phase reads: nothing can then observe it before the commit, and since
+    every operation on the target takes this path, they still land in
+    emission order.  Counted by {!commit} like a buffered input. *)
+
+val apply_assign : phase -> target -> Pgraph.Value.t -> unit
+(** [target = value] applied now; same contract as {!apply_input}. *)
+
 val commit : t -> phase -> unit
-(** The Reduce phase: apply buffered operations in emission order.  For
+(** The Reduce phase: apply buffered operations in emission order, and
+    report them together with the directly applied ones to the
+    [accum.*] metrics and the enclosing trace span.  For
     order-invariant accumulators the result is independent of that order
     (paper §4.3); the order-dependent types (List/Array/[SumAccum<string>])
     observe it, as GSQL documents. *)

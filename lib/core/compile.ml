@@ -47,9 +47,12 @@ type binder =
   | B_row of string array * string array    (* vertex / edge alias slots *)
   | B_combo of (string * int * bool) list   (* name, combo idx, is_edge *)
 
-type scope = { sc_binders : binder list }
+type scope = {
+  sc_schema : Pgraph.Schema.t option;  (* the schema installed against *)
+  sc_binders : binder list;
+}
 
-let gscope = { sc_binders = [] }
+let gscope schema = { sc_schema = schema; sc_binders = [] }
 
 (* Static chain: first binder that can bind the name contributes a step;
    dynamic non-binding (unset local, -1 slot) falls through exactly like
@@ -201,19 +204,79 @@ let compile_vertex_of sc name : renv -> int =
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 
+let vtrue = V.Bool true
+let vfalse = V.Bool false
+let vbool b = if b then vtrue else vfalse
+
 let binop_fn : Ast.binop -> V.t -> V.t -> V.t = function
   | Ast.Add -> V.add
   | Ast.Sub -> V.sub
   | Ast.Mul -> V.mul
   | Ast.Div -> V.div
   | Ast.Mod -> V.modulo
-  | Ast.Eq -> fun x y -> V.Bool (V.equal x y)
-  | Ast.Neq -> fun x y -> V.Bool (not (V.equal x y))
-  | Ast.Lt -> fun x y -> V.Bool (V.compare x y < 0)
-  | Ast.Le -> fun x y -> V.Bool (V.compare x y <= 0)
-  | Ast.Gt -> fun x y -> V.Bool (V.compare x y > 0)
-  | Ast.Ge -> fun x y -> V.Bool (V.compare x y >= 0)
+  | Ast.Eq -> fun x y -> vbool (V.equal x y)
+  | Ast.Neq -> fun x y -> vbool (not (V.equal x y))
+  | Ast.Lt -> fun x y -> vbool (V.compare x y < 0)
+  | Ast.Le -> fun x y -> vbool (V.compare x y <= 0)
+  | Ast.Gt -> fun x y -> vbool (V.compare x y > 0)
+  | Ast.Ge -> fun x y -> vbool (V.compare x y >= 0)
   | Ast.And | Ast.Or -> assert false
+
+(* Attribute slots resolved at install time against the schema compiled
+   for, like [st_static]: [as_v.(ty)] / [as_e.(ty)] is the attribute's
+   position in the rows of vertex (edge) type [ty], -1 when the type lacks
+   it.  A graph with another schema, a type added to the schema after
+   install (an id past the table), or a type without the attribute takes
+   the by-name read, which also raises the missing-attribute error. *)
+type attr_slots = {
+  as_schema : Pgraph.Schema.t;
+  as_v : int array;
+  as_e : int array;
+}
+
+let resolve_attr schema attr =
+  let module S = Pgraph.Schema in
+  let slot index ty = try index ty attr with Not_found -> -1 in
+  Option.map
+    (fun sch ->
+      { as_schema = sch;
+        as_v =
+          Array.init (S.n_vertex_types sch) (fun i ->
+              slot S.vertex_attr_index (S.vertex_type_of_id sch i));
+        as_e =
+          Array.init (S.n_edge_types sch) (fun i ->
+              slot S.edge_attr_index (S.edge_type_of_id sch i)) })
+    schema
+
+let vertex_attr slots attr g v =
+  match slots with
+  | Some s when G.schema g == s.as_schema ->
+    let ty = G.vertex_type_id g v in
+    if ty < Array.length s.as_v && s.as_v.(ty) >= 0 then
+      G.vertex_attr_at g v s.as_v.(ty)
+    else E.vertex_attr g v attr
+  | _ -> E.vertex_attr g v attr
+
+let edge_attr slots attr g e =
+  match slots with
+  | Some s when G.schema g == s.as_schema ->
+    let ty = G.edge_type_id g e in
+    if ty < Array.length s.as_e && s.as_e.(ty) >= 0 then
+      G.edge_attr_at g e s.as_e.(ty)
+    else E.edge_attr g e attr
+  | _ -> E.edge_attr g e attr
+
+(* Evaluates closures left to right into a fresh array. *)
+let eval_array (cs : rx array) env =
+  let n = Array.length cs in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (cs.(0) env) in
+    for i = 1 to n - 1 do
+      a.(i) <- cs.(i) env
+    done;
+    a
+  end
 
 let read_target env (tgt : Accum.Store.target) =
   match env.overlay with
@@ -232,25 +295,26 @@ let rec compile_expr sc (e : Ast.expr) : rx =
   | Ast.E_null -> fun _ -> V.Null
   | Ast.E_var name -> compile_var sc name
   | Ast.E_attr (base, attr) ->
+    let slots = resolve_attr sc.sc_schema attr in
     let ctx_attr env =
       match E.ctx_var_value env.ctx base with
-      | Some (V.Vertex v) -> G.vertex_attr env.ctx.E.graph v attr
-      | Some (V.Edge e) -> G.edge_attr env.ctx.E.graph e attr
+      | Some (V.Vertex v) -> vertex_attr slots attr env.ctx.E.graph v
+      | Some (V.Edge e) -> edge_attr slots attr env.ctx.E.graph e
       | _ -> E.error "unbound variable %s" base
     in
     (match vslot_chain sc.sc_binders base with
-     | Vr_sure f -> fun env -> G.vertex_attr env.ctx.E.graph (f env) attr
+     | Vr_sure f -> fun env -> vertex_attr slots attr env.ctx.E.graph (f env)
      | Vr_maybe f ->
        fun env ->
          let v = f env in
-         if v >= 0 then G.vertex_attr env.ctx.E.graph v attr else ctx_attr env
+         if v >= 0 then vertex_attr slots attr env.ctx.E.graph v else ctx_attr env
      | Vr_none ->
        (match lookup_chain sc.sc_binders base with
         | Some lk ->
           fun env ->
             (match lk env with
-             | Some (V.Vertex v) -> G.vertex_attr env.ctx.E.graph v attr
-             | Some (V.Edge e) -> G.edge_attr env.ctx.E.graph e attr
+             | Some (V.Vertex v) -> vertex_attr slots attr env.ctx.E.graph v
+             | Some (V.Edge e) -> edge_attr slots attr env.ctx.E.graph e
              | Some other ->
                E.error "%s.%s: %s is not a vertex or edge" base attr
                  (V.to_string other)
@@ -271,10 +335,10 @@ let rec compile_expr sc (e : Ast.expr) : rx =
     fun env -> Accum.Store.read_prev env.ctx.E.store tgt
   | Ast.E_binop (Ast.And, a, b) ->
     let ca = compile_expr sc a and cb = compile_expr sc b in
-    fun env -> V.Bool (V.to_bool (ca env) && V.to_bool (cb env))
+    fun env -> vbool (V.to_bool (ca env) && V.to_bool (cb env))
   | Ast.E_binop (Ast.Or, a, b) ->
     let ca = compile_expr sc a and cb = compile_expr sc b in
-    fun env -> V.Bool (V.to_bool (ca env) || V.to_bool (cb env))
+    fun env -> vbool (V.to_bool (ca env) || V.to_bool (cb env))
   | Ast.E_binop (op, a, b) ->
     let ca = compile_expr sc a and cb = compile_expr sc b in
     let f = binop_fn op in
@@ -287,25 +351,36 @@ let rec compile_expr sc (e : Ast.expr) : rx =
     fun env -> V.neg (ca env)
   | Ast.E_unop (Ast.Not, a) ->
     let ca = compile_expr sc a in
-    fun env -> V.Bool (not (V.to_bool (ca env)))
+    fun env -> vbool (not (V.to_bool (ca env)))
   | Ast.E_call (name, args) ->
-    let cargs = List.map (compile_expr sc) args in
-    fun env -> E.builtin_call name (List.map (fun c -> c env) cargs)
+    (match E.builtin name (List.length args), List.map (compile_expr sc) args with
+     | E.F1 f, [ ca ] -> fun env -> f (ca env)
+     | E.F2 f, [ ca; cb ] ->
+       fun env ->
+         let x = ca env in
+         let y = cb env in
+         f x y
+     | b, cargs -> fun env -> E.apply_builtin b (List.map (fun c -> c env) cargs))
   | Ast.E_method _ ->
     (* Methods resolve vertices through the raw env; bridge to Eval. *)
     fun env -> E.eval_expr (to_eval_env sc env) e
   | Ast.E_tuple es ->
-    let ces = List.map (compile_expr sc) es in
-    fun env -> V.Vtuple (Array.of_list (List.map (fun c -> c env) ces))
-  | Ast.E_arrow (ks, vs) ->
-    let cks = List.map (compile_expr sc) ks in
-    let cvs = List.map (compile_expr sc) vs in
+    let ces = Array.of_list (List.map (compile_expr sc) es) in
+    fun env -> V.Vtuple (eval_array ces env)
+  | Ast.E_arrow ([ k ], [ v ]) ->
+    (* A MapAccum pair, as in Eval. *)
+    let ck = compile_expr sc k and cv = compile_expr sc v in
     fun env ->
-      let keys = Array.of_list (List.map (fun c -> c env) cks) in
-      let vals = Array.of_list (List.map (fun c -> c env) cvs) in
-      if Array.length keys = 1 && Array.length vals = 1 then
-        V.Vtuple [| keys.(0); vals.(0) |]
-      else V.Vtuple [| V.Vtuple keys; V.Vtuple vals |]
+      let key = ck env in
+      let value = cv env in
+      V.Vtuple [| key; value |]
+  | Ast.E_arrow (ks, vs) ->
+    let cks = Array.of_list (List.map (compile_expr sc) ks) in
+    let cvs = Array.of_list (List.map (compile_expr sc) vs) in
+    fun env ->
+      let keys = eval_array cks env in
+      let vals = eval_array cvs env in
+      V.Vtuple [| V.Vtuple keys; V.Vtuple vals |]
 
 let compile_bool sc e =
   let ce = compile_expr sc e in
@@ -692,6 +767,42 @@ let rec has_assign = function
   | Ast.A_if (_, th, el) :: rest -> has_assign th || has_assign el || has_assign rest
   | _ :: rest -> has_assign rest
 
+(* The accumulators a kernel reads, by namespace: globals ([@@x], [@@x'])
+   and vertex families ([v.@x], [v.@x']), found anywhere in its
+   expressions — IF conditions, locals, input values, method bases and
+   arguments.  Only these need the phase buffer: an input or assign to any
+   other target cannot be observed before the commit, so it is applied to
+   the store at once (docs/COMPILER.md, "Snapshot phases"). *)
+type reads = { rd_globals : string list; rd_vertex : string list }
+
+let rec expr_reads rd (e : Ast.expr) =
+  match e with
+  | Ast.E_gacc n | Ast.E_gacc_prev n -> { rd with rd_globals = n :: rd.rd_globals }
+  | Ast.E_vacc (_, n) | Ast.E_vacc_prev (_, n) ->
+    { rd with rd_vertex = n :: rd.rd_vertex }
+  | Ast.E_binop (_, a, b) -> expr_reads (expr_reads rd a) b
+  | Ast.E_unop (_, a) -> expr_reads rd a
+  | Ast.E_call (_, args) | Ast.E_tuple args -> List.fold_left expr_reads rd args
+  | Ast.E_method (base, _, args) -> List.fold_left expr_reads (expr_reads rd base) args
+  | Ast.E_arrow (ks, vs) -> List.fold_left expr_reads (List.fold_left expr_reads rd ks) vs
+  | Ast.E_int _ | Ast.E_float _ | Ast.E_string _ | Ast.E_bool _ | Ast.E_null | Ast.E_var _
+  | Ast.E_attr _ ->
+    rd
+
+let rec stmt_reads rd = function
+  | Ast.A_local (_, e) | Ast.A_input (_, e) | Ast.A_assign (_, e)
+  | Ast.A_attr_assign (_, _, e) ->
+    expr_reads rd e
+  | Ast.A_if (c, th, el) ->
+    List.fold_left stmt_reads (List.fold_left stmt_reads (expr_reads rd c) th) el
+
+let kernel_reads stmts =
+  List.fold_left stmt_reads { rd_globals = []; rd_vertex = [] } stmts
+
+let target_read rd = function
+  | Ast.T_global n -> List.mem n rd.rd_globals
+  | Ast.T_vertex (_, n) -> List.mem n rd.rd_vertex
+
 let compile_target sc (t : Ast.acc_target) : renv -> Accum.Store.target =
   match t with
   | Ast.T_global name ->
@@ -701,7 +812,12 @@ let compile_target sc (t : Ast.acc_target) : renv -> Accum.Store.target =
     let vid = compile_vertex_of sc alias in
     fun env -> Accum.Store.Vertex_acc (name, vid env)
 
-let rec compile_acc_stmt sc locals (s : Ast.acc_stmt) : astmt =
+let run_kernel (kernel : astmt array) env phase =
+  for i = 0 to Array.length kernel - 1 do
+    kernel.(i) env phase
+  done
+
+let rec compile_acc_stmt sc locals rd (s : Ast.acc_stmt) : astmt =
   match s with
   | Ast.A_local (x, e) ->
     let i = List.assoc x locals in
@@ -710,26 +826,37 @@ let rec compile_acc_stmt sc locals (s : Ast.acc_stmt) : astmt =
   | Ast.A_input (t, e) ->
     let ct = compile_target sc t in
     let ce = compile_expr sc e in
-    fun env phase ->
-      let tgt = ct env in
-      let v = ce env in
-      Accum.Store.buffer_input phase tgt v env.mult
+    if target_read rd t then
+      fun env phase ->
+        let tgt = ct env in
+        let v = ce env in
+        Accum.Store.buffer_input phase tgt v env.mult
+    else
+      fun env phase ->
+        let tgt = ct env in
+        let v = ce env in
+        Accum.Store.apply_input phase tgt v env.mult
   | Ast.A_assign (t, e) ->
     let ct = compile_target sc t in
     let ce = compile_expr sc e in
-    fun env phase ->
-      let tgt = ct env in
-      let v = ce env in
-      Accum.Store.buffer_assign phase tgt v;
-      (match env.overlay with
-       | Some o -> Hashtbl.replace o tgt v
-       | None -> ())
+    if target_read rd t then
+      fun env phase ->
+        let tgt = ct env in
+        let v = ce env in
+        Accum.Store.buffer_assign phase tgt v;
+        (match env.overlay with
+         | Some o -> Hashtbl.replace o tgt v
+         | None -> ())
+    else
+      fun env phase ->
+        let tgt = ct env in
+        let v = ce env in
+        Accum.Store.apply_assign phase tgt v
   | Ast.A_if (c, th, el) ->
     let cc = compile_bool sc c in
-    let cth = List.map (compile_acc_stmt sc locals) th in
-    let cel = List.map (compile_acc_stmt sc locals) el in
-    fun env phase ->
-      List.iter (fun f -> f env phase) (if cc env then cth else cel)
+    let cth = compile_kernel sc locals rd th in
+    let cel = compile_kernel sc locals rd el in
+    fun env phase -> run_kernel (if cc env then cth else cel) env phase
   | Ast.A_attr_assign (alias, attr, e) ->
     let ce = compile_expr sc e in
     let lk = lookup_chain sc.sc_binders alias in
@@ -740,10 +867,13 @@ let rec compile_acc_stmt sc locals (s : Ast.acc_stmt) : astmt =
        | Some (V.Edge eid) -> G.set_edge_attr env.ctx.E.graph eid attr v
        | _ -> E.error "unbound variable %s in attribute assignment" alias)
 
+and compile_kernel sc locals rd stmts =
+  Array.of_list (List.map (compile_acc_stmt sc locals rd) stmts)
+
 type cgroup = {
   cg_alias : string option;
   cg_slot : int;  (* meaningful when cg_alias = Some _; -1 = unknown alias *)
-  cg_kernel : astmt list;
+  cg_kernel : astmt array;
   cg_nlocals : int;
   cg_overlay : bool;
 }
@@ -825,7 +955,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     (b : Ast.select_block) : op =
   let v_aliases, e_aliases = E.collect_aliases b.Ast.s_from in
   let nv = Array.length v_aliases and ne = Array.length e_aliases in
-  let row_sc = { sc_binders = [ B_row (v_aliases, e_aliases) ] } in
+  let row_sc = { sc_schema = schema; sc_binders = [ B_row (v_aliases, e_aliases) ] } in
   (* WHERE push-down, decomposed at compile time: single-vertex-alias
      conjuncts become per-candidate probe predicates, the rest a residual
      row filter. *)
@@ -861,7 +991,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
       let compiled =
         Hashtbl.fold
           (fun name parts acc ->
-            let psc = { sc_binders = [ B_probe name ] } in
+            let psc = { sc_schema = schema; sc_binders = [ B_probe name ] } in
             (name, List.map (compile_bool psc) parts) :: acc)
           by_alias []
       in
@@ -913,9 +1043,12 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   (* ACCUM kernel. *)
   let acc_locals, acc_nlocals = collect_locals b.Ast.s_accum in
   let acc_sc =
-    { sc_binders = [ B_locals acc_locals; B_row (v_aliases, e_aliases) ] }
+    { sc_schema = schema;
+      sc_binders = [ B_locals acc_locals; B_row (v_aliases, e_aliases) ] }
   in
-  let acc_kernel = List.map (compile_acc_stmt acc_sc acc_locals) b.Ast.s_accum in
+  let acc_kernel =
+    compile_kernel acc_sc acc_locals (kernel_reads b.Ast.s_accum) b.Ast.s_accum
+  in
   let acc_overlay = has_assign b.Ast.s_accum in
   (* POST_ACCUM: consecutive statements grouped by driving alias, one
      execution per distinct vertex (statically grouped via Analyze). *)
@@ -938,22 +1071,21 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
         let locals, nlocals = collect_locals stmts in
         let sc =
           match alias with
-          | None -> { sc_binders = [ B_locals locals ] }
-          | Some a -> { sc_binders = [ B_probe a; B_locals locals ] }
+          | None -> { sc_schema = schema; sc_binders = [ B_locals locals ] }
+          | Some a -> { sc_schema = schema; sc_binders = [ B_probe a; B_locals locals ] }
         in
         { cg_alias = alias;
           cg_slot =
             (match alias with
              | Some a -> E.alias_slot v_aliases a
              | None -> -1);
-          cg_kernel = List.map (compile_acc_stmt sc locals) stmts;
+          cg_kernel = compile_kernel sc locals (kernel_reads stmts) stmts;
           cg_nlocals = nlocals;
           cg_overlay = has_assign stmts })
       post_groups
   in
-  let run_kernel env phase kernel = List.iter (fun f -> f env phase) kernel in
   let exec_accum env bt =
-    if acc_kernel <> [] then
+    if Array.length acc_kernel > 0 then
       Obs.Trace.span "accum" (fun () ->
           if Obs.Trace.enabled () then
             Obs.Trace.set_attr "rows" (Obs.Json.Int bt.f_n);
@@ -968,7 +1100,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
             env.mult <- bt.f_mult.(r);
             if acc_nlocals > 0 then Array.fill locals 0 acc_nlocals unset;
             (match overlay with Some o -> Hashtbl.reset o | None -> ());
-            run_kernel env phase acc_kernel
+            run_kernel acc_kernel env phase
           done;
           Accum.Store.commit env.ctx.E.store phase)
   in
@@ -985,7 +1117,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
                  env.overlay <-
                    (if g.cg_overlay then Some (Hashtbl.create 8) else None);
                  env.mult <- B.one;
-                 run_kernel env phase g.cg_kernel
+                 run_kernel g.cg_kernel env phase
                | Some a ->
                  if g.cg_slot < 0 then
                    E.error "POST_ACCUM references unknown alias %s" a;
@@ -1008,28 +1140,28 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
                      (match overlay with
                       | Some o -> Hashtbl.reset o
                       | None -> ());
-                     run_kernel env phase g.cg_kernel
+                     run_kernel g.cg_kernel env phase
                    end
                  done);
               Accum.Store.commit env.ctx.E.store phase)
             cgroups)
   in
   (* Outputs. *)
-  let climit = Option.map (compile_expr gscope) b.Ast.s_limit in
+  let climit = Option.map (compile_expr (gscope schema)) b.Ast.s_limit in
   let signature = Ast.select_signature b in
   (* HAVING / ORDER BY for the vertex-set target, compiled in the probe
      scope of the selected alias. *)
   let chaving_v =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) ->
-      let psc = { sc_binders = [ B_probe alias ] } in
+      let psc = { sc_schema = schema; sc_binders = [ B_probe alias ] } in
       Option.map (compile_bool psc) b.Ast.s_having
     | Ast.Sel_outputs _ -> None
   in
   let corder_v =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) ->
-      let psc = { sc_binders = [ B_probe alias ] } in
+      let psc = { sc_schema = schema; sc_binders = [ B_probe alias ] } in
       List.map (fun (e, desc) -> (compile_expr psc e, desc)) b.Ast.s_order_by
     | Ast.Sel_outputs _ -> []
   in
@@ -1062,7 +1194,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
               aliases
           in
           let csc =
-            { sc_binders =
+            { sc_schema = schema; sc_binders =
                 [ B_combo
                     (List.mapi
                        (fun i a -> (a, i, E.alias_slot v_aliases a < 0))
@@ -1359,7 +1491,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
   | Ast.S_print _ -> fallback_op s "print"
   | Ast.S_insert (ty, _, _) -> fallback_op s ("insert into " ^ ty)
   | Ast.S_acc_decl d ->
-    let cinit = Option.map (compile_expr gscope) d.Ast.d_init in
+    let cinit = Option.map (compile_expr (gscope schema)) d.Ast.d_init in
     let names =
       String.concat ", "
         (List.map
@@ -1444,7 +1576,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1;
       op_compiled = 1 }
   | Ast.S_gacc_assign (name, is_input, e) ->
-    let ce = compile_expr gscope e in
+    let ce = compile_expr (gscope schema) e in
     let tgt = Accum.Store.Global name in
     { op_exec =
         (fun env ->
@@ -1456,7 +1588,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1;
       op_compiled = 1 }
   | Ast.S_let (x, e) ->
-    let ce = compile_expr gscope e in
+    let ce = compile_expr (gscope schema) e in
     let exec =
       match e with
       | Ast.E_var y ->
@@ -1471,8 +1603,8 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1;
       op_compiled = 1 }
   | Ast.S_while (cond, limit, body) ->
-    let ccond = compile_bool gscope cond in
-    let climit = Option.map (compile_expr gscope) limit in
+    let ccond = compile_bool (gscope schema) cond in
+    let climit = Option.map (compile_expr (gscope schema)) limit in
     let cbody = List.map (compile_stmt schema) body in
     { op_exec =
         (fun env ->
@@ -1494,7 +1626,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1 + sum_total cbody;
       op_compiled = 1 + sum_compiled cbody }
   | Ast.S_if (cond, th, el) ->
-    let ccond = compile_bool gscope cond in
+    let ccond = compile_bool (gscope schema) cond in
     let cth = List.map (compile_stmt schema) th in
     let cel = List.map (compile_stmt schema) el in
     { op_exec =
@@ -1507,7 +1639,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1 + sum_total cth + sum_total cel;
       op_compiled = 1 + sum_compiled cth + sum_compiled cel }
   | Ast.S_foreach (x, e, body) ->
-    let ce = compile_expr gscope e in
+    let ce = compile_expr (gscope schema) e in
     let cbody = List.map (compile_stmt schema) body in
     { op_exec =
         (fun env ->
@@ -1538,7 +1670,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_total = 1 + sum_total cbody;
       op_compiled = 1 + sum_compiled cbody }
   | Ast.S_return e ->
-    let ce = compile_expr gscope e in
+    let ce = compile_expr (gscope schema) e in
     let exec =
       match e with
       | Ast.E_var name ->

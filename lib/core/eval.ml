@@ -105,83 +105,104 @@ let is_aggregate_name name =
   | "count" | "sum" | "avg" | "min" | "max" -> true
   | _ -> false
 
-let builtin_call name args =
-  let one () = match args with [ v ] -> v | _ -> error "%s expects one argument" name in
-  let two () =
-    match args with [ a; b ] -> (a, b) | _ -> error "%s expects two arguments" name
-  in
+(* Builtins resolve once per call site: [builtin name arity] dispatches on
+   the lowercased name and the argument count.  Fixed-arity builtins come
+   back as [F1]/[F2], so a compiled call applies them to its argument
+   values without consing a list; a wrong arity or an unknown name comes
+   back as an [Fn] that raises when (and only when) the call runs. *)
+type builtin =
+  | F1 of (V.t -> V.t)
+  | F2 of (V.t -> V.t -> V.t)
+  | Fn of (V.t list -> V.t)
+
+let builtin name arity =
+  let one f = if arity = 1 then F1 f else Fn (fun _ -> error "%s expects one argument" name) in
+  let two f = if arity = 2 then F2 f else Fn (fun _ -> error "%s expects two arguments" name) in
+  let str f = one (fun v -> f (V.to_string_exn v)) in
+  let str2 f = two (fun s p -> f (V.to_string_exn s) (V.to_string_exn p)) in
   match String.lowercase_ascii name with
-  | "log" -> V.Float (Float.log (V.to_float (one ())))
-  | "log2" -> V.Float (Float.log2 (V.to_float (one ())))
-  | "exp" -> V.Float (Float.exp (V.to_float (one ())))
-  | "sqrt" -> V.Float (Float.sqrt (V.to_float (one ())))
+  | "log" -> one (fun v -> V.Float (Float.log (V.to_float v)))
+  | "log2" -> one (fun v -> V.Float (Float.log2 (V.to_float v)))
+  | "exp" -> one (fun v -> V.Float (Float.exp (V.to_float v)))
+  | "sqrt" -> one (fun v -> V.Float (Float.sqrt (V.to_float v)))
   | "abs" ->
-    (match one () with
-     | V.Int n -> V.Int (abs n)
-     | v -> V.Float (Float.abs (V.to_float v)))
-  | "floor" -> V.Float (Float.floor (V.to_float (one ())))
-  | "ceil" -> V.Float (Float.ceil (V.to_float (one ())))
-  | "pow" ->
-    let a, b = two () in
-    V.Float (Float.pow (V.to_float a) (V.to_float b))
-  | "min" ->
-    let a, b = two () in
-    if V.compare a b <= 0 then a else b
-  | "max" ->
-    let a, b = two () in
-    if V.compare a b >= 0 then a else b
-  | "year" -> V.Int (V.year_of_datetime (one ()))
-  | "month" -> V.Int (V.month_of_datetime (one ()))
+    one (function V.Int n -> V.Int (abs n) | v -> V.Float (Float.abs (V.to_float v)))
+  | "floor" -> one (fun v -> V.Float (Float.floor (V.to_float v)))
+  | "ceil" -> one (fun v -> V.Float (Float.ceil (V.to_float v)))
+  | "pow" -> two (fun a b -> V.Float (Float.pow (V.to_float a) (V.to_float b)))
+  | "min" -> two (fun a b -> if V.compare a b <= 0 then a else b)
+  | "max" -> two (fun a b -> if V.compare a b >= 0 then a else b)
+  | "year" -> one (fun v -> V.Int (V.year_of_datetime v))
+  | "month" -> one (fun v -> V.Int (V.month_of_datetime v))
   | "datetime" ->
-    (match args with
-     | [ y; m; d ] -> V.datetime_of_ymd (V.to_int y) (V.to_int m) (V.to_int d)
-     | _ -> error "datetime expects (year, month, day)")
+    Fn
+      (function
+        | [ y; m; d ] -> V.datetime_of_ymd (V.to_int y) (V.to_int m) (V.to_int d)
+        | _ -> error "datetime expects (year, month, day)")
   | "id" ->
     (* Internal id of a vertex or edge — lets queries seed per-vertex
        labels (WCC, label propagation) without a dedicated attribute. *)
-    (match one () with
-     | V.Vertex v -> V.Int v
-     | V.Edge e -> V.Int e
-     | _ -> error "id expects a vertex or edge")
-  | "str" | "to_string" -> V.Str (V.to_string (one ()))
-  | "lower" -> V.Str (String.lowercase_ascii (V.to_string_exn (one ())))
-  | "upper" -> V.Str (String.uppercase_ascii (V.to_string_exn (one ())))
-  | "trim" -> V.Str (String.trim (V.to_string_exn (one ())))
-  | "length" -> V.Int (String.length (V.to_string_exn (one ())))
-  | "concat" ->
-    V.Str (String.concat "" (List.map V.to_string args))
+    one (function
+      | V.Vertex v -> V.Int v
+      | V.Edge e -> V.Int e
+      | _ -> error "id expects a vertex or edge")
+  | "str" | "to_string" -> one (fun v -> V.Str (V.to_string v))
+  | "lower" -> str (fun s -> V.Str (String.lowercase_ascii s))
+  | "upper" -> str (fun s -> V.Str (String.uppercase_ascii s))
+  | "trim" -> str (fun s -> V.Str (String.trim s))
+  | "length" -> str (fun s -> V.Int (String.length s))
+  | "concat" -> Fn (fun args -> V.Str (String.concat "" (List.map V.to_string args)))
   | "substr" ->
-    (match args with
-     | [ s; start; len ] ->
-       let s = V.to_string_exn s and start = V.to_int start and len = V.to_int len in
-       let n = String.length s in
-       let start = max 0 (min start n) in
-       let len = max 0 (min len (n - start)) in
-       V.Str (String.sub s start len)
-     | _ -> error "substr expects (string, start, length)")
+    Fn
+      (function
+        | [ s; start; len ] ->
+          let s = V.to_string_exn s and start = V.to_int start and len = V.to_int len in
+          let n = String.length s in
+          let start = max 0 (min start n) in
+          let len = max 0 (min len (n - start)) in
+          V.Str (String.sub s start len)
+        | _ -> error "substr expects (string, start, length)")
   | "starts_with" ->
-    let s, p = two () in
-    let s = V.to_string_exn s and p = V.to_string_exn p in
-    V.Bool (String.length p <= String.length s && String.sub s 0 (String.length p) = p)
+    str2 (fun s p ->
+        V.Bool (String.length p <= String.length s && String.sub s 0 (String.length p) = p))
   | "contains_str" ->
-    let s, p = two () in
-    let s = V.to_string_exn s and p = V.to_string_exn p in
-    let n = String.length s and m = String.length p in
-    let rec scan i = i + m <= n && (String.sub s i m = p || scan (i + 1)) in
-    V.Bool (m = 0 || scan 0)
+    str2 (fun s p ->
+        let n = String.length s and m = String.length p in
+        let rec scan i = i + m <= n && (String.sub s i m = p || scan (i + 1)) in
+        V.Bool (m = 0 || scan 0))
   | "to_int" ->
-    (match one () with
-     | V.Int n -> V.Int n
-     | V.Float f -> V.Int (int_of_float f)
-     | V.Str s -> (try V.Int (int_of_string s) with Failure _ -> error "to_int: bad string")
-     | _ -> error "to_int: unsupported value")
-  | "to_float" -> V.Float (V.to_float (one ()))
+    one (function
+      | V.Int n -> V.Int n
+      | V.Float f -> V.Int (int_of_float f)
+      | V.Str s -> (try V.Int (int_of_string s) with Failure _ -> error "to_int: bad string")
+      | _ -> error "to_int: unsupported value")
+  | "to_float" -> one (fun v -> V.Float (V.to_float v))
   | "size" | "count" ->
-    (match one () with
-     | V.Vlist l -> V.Int (List.length l)
-     | V.Str s -> V.Int (String.length s)
-     | _ -> error "%s expects a collection" name)
-  | _ -> error "unknown function %s" name
+    one (function
+      | V.Vlist l -> V.Int (List.length l)
+      | V.Str s -> V.Int (String.length s)
+      | _ -> error "%s expects a collection" name)
+  | _ -> Fn (fun _ -> error "unknown function %s" name)
+
+let apply_builtin b args =
+  match b, args with
+  | F1 f, [ x ] -> f x
+  | F2 f, [ x; y ] -> f x y
+  | Fn f, _ -> f args
+  | (F1 _ | F2 _), _ -> invalid_arg "Eval.apply_builtin: arity differs from resolution"
+
+(* Attribute reads by name.  A name the element's type lacks is a query
+   error, reported the same way by the interpreter and compiled plans. *)
+let vertex_attr g v attr =
+  match G.vertex_attr_opt g v attr with
+  | Some x -> x
+  | None ->
+    error "vertex type %s has no attribute %s" (G.vertex_type g v).Pgraph.Schema.vt_name attr
+
+let edge_attr g e attr =
+  match G.edge_attr_opt g e attr with
+  | Some x -> x
+  | None -> error "edge type %s has no attribute %s" (G.edge_type g e).Pgraph.Schema.et_name attr
 
 let rec eval_expr env (e : Ast.expr) : V.t =
   match e with
@@ -199,8 +220,8 @@ let rec eval_expr env (e : Ast.expr) : V.t =
         | None -> error "unbound variable %s" name))
   | Ast.E_attr (base, attr) ->
     (match env.e_lookup base, ctx_var_value env.e_ctx base with
-     | Some (V.Vertex v), _ | None, Some (V.Vertex v) -> G.vertex_attr env.e_ctx.graph v attr
-     | Some (V.Edge e), _ | None, Some (V.Edge e) -> G.edge_attr env.e_ctx.graph e attr
+     | Some (V.Vertex v), _ | None, Some (V.Vertex v) -> vertex_attr env.e_ctx.graph v attr
+     | Some (V.Edge e), _ | None, Some (V.Edge e) -> edge_attr env.e_ctx.graph e attr
      | Some other, _ -> error "%s.%s: %s is not a vertex or edge" base attr (V.to_string other)
      | None, _ -> error "unbound variable %s" base)
   | Ast.E_vacc (base, name) ->
@@ -233,7 +254,7 @@ let rec eval_expr env (e : Ast.expr) : V.t =
   | Ast.E_call (name, args) ->
     (match env.e_agg with
      | Some hook when is_aggregate_name name && List.length args = 1 -> hook name args
-     | _ -> builtin_call name (List.map (eval_expr env) args))
+     | _ -> apply_builtin (builtin name (List.length args)) (List.map (eval_expr env) args))
   | Ast.E_method (base, meth, args) -> eval_method env base meth (List.map (eval_expr env) args)
   | Ast.E_tuple es -> V.Vtuple (Array.of_list (List.map (eval_expr env) es))
   | Ast.E_arrow (ks, vs) ->

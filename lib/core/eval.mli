@@ -91,7 +91,27 @@ val error : ('a, unit, string, 'b) format4 -> 'a
 (** Raises {!Runtime_error} with a formatted message. *)
 
 val eval_expr : env -> Ast.expr -> Pgraph.Value.t
-val builtin_call : string -> Pgraph.Value.t list -> Pgraph.Value.t
+
+(** A builtin function resolved for one call site. *)
+type builtin =
+  | F1 of (Pgraph.Value.t -> Pgraph.Value.t)
+  | F2 of (Pgraph.Value.t -> Pgraph.Value.t -> Pgraph.Value.t)
+  | Fn of (Pgraph.Value.t list -> Pgraph.Value.t)
+
+val builtin : string -> int -> builtin
+(** [builtin name arity] dispatches once on the (case-insensitive) name
+    and argument count.  A wrong arity or unknown name yields an [Fn] that
+    raises {!Runtime_error} when applied. *)
+
+val apply_builtin : builtin -> Pgraph.Value.t list -> Pgraph.Value.t
+(** Applies a resolved builtin to as many arguments as it was resolved
+    for. *)
+
+val vertex_attr : Pgraph.Graph.t -> int -> string -> Pgraph.Value.t
+val edge_attr : Pgraph.Graph.t -> int -> string -> Pgraph.Value.t
+(** Attribute reads by name; raise {!Runtime_error} when the element's
+    type has no such attribute. *)
+
 val ctx_var_value : ctx -> string -> Pgraph.Value.t option
 val plain_env : ctx -> env
 val env_with : ctx -> (string * Pgraph.Value.t) list -> env

@@ -189,6 +189,8 @@ let vertex_attr_opt g v name =
   | i -> Some (Vec.get g.v_attrs v).(i)
   | exception Not_found -> None
 
+let vertex_attr_at g v i = (Vec.get g.v_attrs v).(i)
+
 (* Attribute rows are plain arrays shared wholesale by a snapshot's spine
    clone; under [cow] a write replaces the row rather than mutating it. *)
 let own_row g spine i =
@@ -220,6 +222,13 @@ let edge_attr g e name =
   | i -> (Vec.get g.e_attrs e).(i)
   | exception Not_found ->
     invalid_arg (Printf.sprintf "Graph: edge type %s has no attribute %s" et.Schema.et_name name)
+
+let edge_attr_opt g e name =
+  match Schema.edge_attr_index (edge_type g e) name with
+  | i -> Some (Vec.get g.e_attrs e).(i)
+  | exception Not_found -> None
+
+let edge_attr_at g e i = (Vec.get g.e_attrs e).(i)
 
 let set_edge_attr g e name value =
   let et = edge_type g e in

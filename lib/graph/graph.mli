@@ -80,6 +80,11 @@ val vertex_attr : t -> int -> string -> Value.t
 val set_vertex_attr : t -> int -> string -> Value.t -> unit
 val vertex_attr_opt : t -> int -> string -> Value.t option
 
+val vertex_attr_at : t -> int -> int -> Value.t
+(** [vertex_attr_at g v i] is attribute [i] of [v]'s type, by its position
+    in [vt_attrs] — the by-index read for callers that resolved the name
+    with {!Schema.vertex_attr_index} against [schema g] beforehand. *)
+
 (** {1 Edge accessors} *)
 
 val edge_type : t -> int -> Schema.edge_type
@@ -87,6 +92,11 @@ val edge_type_id : t -> int -> int
 val edge_src : t -> int -> int
 val edge_dst : t -> int -> int
 val edge_attr : t -> int -> string -> Value.t
+val edge_attr_opt : t -> int -> string -> Value.t option
+
+val edge_attr_at : t -> int -> int -> Value.t
+(** By-index edge attribute read; see {!vertex_attr_at}. *)
+
 val set_edge_attr : t -> int -> string -> Value.t -> unit
 val edge_other_endpoint : t -> int -> int -> int
 (** [edge_other_endpoint g e v] is the endpoint of [e] that is not [v]. *)

@@ -312,6 +312,48 @@ let prop_split_fold_merge =
           Spec.Set_acc; Spec.Bag_acc; Spec.Map_acc Spec.Sum_int;
           Spec.Heap_acc { Spec.h_capacity = 3; h_fields = [ (0, Spec.Asc) ] } ])
 
+(* HeapAccum against its definition: the retained prefix of the input
+   stream stably sorted by the heap's fields (ties broken by the whole
+   tuple), truncated to capacity.  Small field values force ties; a
+   multiplicity µ > 1 stands for µ copies of its tuple. *)
+let prop_heap_is_sorted_prefix =
+  QCheck.Test.make ~name:"HeapAccum = stable sort, then truncate" ~count:300
+    QCheck.small_int
+    (fun seed ->
+      let rng = Pgraph.Prng.create (seed + 7919) in
+      let width = 1 + Pgraph.Prng.int rng 3 in
+      let fields =
+        List.filter_map
+          (fun i ->
+            if Pgraph.Prng.int rng 3 = 0 then None
+            else Some (i, if Pgraph.Prng.int rng 2 = 0 then Spec.Asc else Spec.Desc))
+          (List.init width (fun i -> width - 1 - i))
+      in
+      let hs = { Spec.h_capacity = Pgraph.Prng.int rng 7; h_fields = fields } in
+      let stream =
+        List.init (Pgraph.Prng.int rng 30) (fun _ ->
+            ( V.Vtuple (Array.init width (fun _ -> V.Int (Pgraph.Prng.int rng 3))),
+              [| 1; 1; 2; 3 |].(Pgraph.Prng.int rng 4) ))
+      in
+      let heap = Acc.create (Spec.Heap_acc hs) in
+      List.iter (fun (v, mu) -> Acc.input_mult heap v (B.of_int mu)) stream;
+      let by_fields a b =
+        let field v i = match v with V.Vtuple t -> t.(i) | _ -> assert false in
+        let rec go = function
+          | [] -> V.compare a b
+          | (i, ord) :: rest ->
+            let c = V.compare (field a i) (field b i) in
+            if c = 0 then go rest else if ord = Spec.Asc then c else -c
+        in
+        go fields
+      in
+      let expected =
+        List.concat_map (fun (v, mu) -> List.init mu (fun _ -> v)) stream
+        |> List.stable_sort by_fields
+        |> List.filteri (fun i _ -> i < hs.Spec.h_capacity)
+      in
+      V.equal (Acc.read heap) (V.Vlist expected))
+
 (* --- Store: snapshot semantics. --- *)
 
 let test_store_declarations () =
@@ -639,4 +681,5 @@ let () =
           Alcotest.test_case "reset" `Quick test_store_reset ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_merge_is_homomorphism; prop_order_invariance ] );
-      ("merge laws", [ QCheck_alcotest.to_alcotest prop_split_fold_merge ]) ]
+      ("merge laws", [ QCheck_alcotest.to_alcotest prop_split_fold_merge ]);
+      ("heap", [ QCheck_alcotest.to_alcotest prop_heap_is_sorted_prefix ]) ]

@@ -137,6 +137,52 @@ let test_common_friends () =
     ~params:[ ("nameA", V.Str "Jan"); ("nameB", V.Str "Maria") ]
     snb q
 
+(* Appendix B multi-grouping on SNB, full answers: GroupByAccum keys from
+   the year()/month() builtins, HeapAccum top-K queues, sums and averages.
+   MultiGroupGs is the shipped query (every aggregate in every grouping
+   set); MultiGroupAcc gives each set only its own aggregates. *)
+let multigroup_acc_src =
+  {|CREATE QUERY MultiGroupAcc (INT yearLo, INT yearHi) {
+      GroupByAccum<INT yr,
+                   HeapAccum(20, 0 DESC, 1 DESC), HeapAccum(20, 0 ASC, 1 DESC),
+                   HeapAccum(20, 1 DESC, 0 DESC), HeapAccum(20, 1 ASC, 0 DESC),
+                   HeapAccum(10, 2 ASC, 1 DESC), HeapAccum(10, 2 DESC, 1 DESC)> @@byYear;
+      GroupByAccum<STRING city, STRING browser, INT yr, INT mo, INT len,
+                   SumAccum<INT>> @@countBy;
+      GroupByAccum<STRING city, STRING gender, STRING browser, INT yr, INT mo,
+                   AvgAccum> @@avgLen;
+      S = SELECT m
+          FROM City:c -(<IS_LOCATED_IN)- Person:p -(LIKES>)- Comment:m -(HAS_CREATOR>)- Person:a
+          WHERE year(m.creationDate) >= yearLo AND year(m.creationDate) <= yearHi
+          ACCUM @@byYear += (year(m.creationDate) ->
+                             (m.creationDate, m.length, a.birthday),
+                             (m.creationDate, m.length, a.birthday),
+                             (m.creationDate, m.length, a.birthday),
+                             (m.creationDate, m.length, a.birthday),
+                             (m.creationDate, m.length, a.birthday),
+                             (m.creationDate, m.length, a.birthday)),
+                @@countBy += (c.name, m.browserUsed, year(m.creationDate),
+                              month(m.creationDate), m.length -> 1),
+                @@avgLen += (c.name, p.gender, m.browserUsed, year(m.creationDate),
+                             month(m.creationDate) -> m.length);
+      PRINT @@byYear;
+      PRINT @@countBy;
+      PRINT @@avgLen;
+    }|}
+
+let test_multigroup () =
+  let params = [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012) ] in
+  let g = snb () in
+  List.iter
+    (fun (label, q) ->
+      let interp = E.run_query g ~params q in
+      if String.length interp.E.r_printed < 1000 then
+        Alcotest.failf "%s: expected a full answer, got %S" label interp.E.r_printed;
+      let plan = C.compile ~schema:(G.schema g) q in
+      check_results label interp (C.run plan ~params g))
+    [ ("MultiGroupAcc", Gsql.Parser.parse_query multigroup_acc_src);
+      ("MultiGroupGs", load_query "multigroup_gs.gsql") ]
+
 (* Every shipped query at least compiles and describes deterministically. *)
 let test_all_queries_compile () =
   Array.iter
@@ -368,7 +414,192 @@ let test_error_parity () =
   run_both {|X = {Nope.*};|} [];
   run_both {|PRINT missing;|} [];
   run_both {|Y = X UNION Z;|} [];
-  run_both {|S = SELECT t FROM V:s -(NoSuchEdge>)- V:t ACCUM t.@x += 1;|} []
+  run_both {|S = SELECT t FROM V:s -(NoSuchEdge>)- V:t ACCUM t.@x += 1;|} [];
+  (* A missing attribute is a query error, not an escaping exception. *)
+  run_both
+    {|SumAccum<int> @@s;
+      S = SELECT t FROM V:s -(E>)- V:t ACCUM @@s += t.nosuch;|}
+    [];
+  run_both
+    {|SumAccum<int> @@s;
+      S = SELECT t FROM V:s -(E>:e)- V:t ACCUM @@s += e.nosuch;|}
+    [];
+  run_both {|R = SELECT t FROM V:s -(E>)- V:t WHERE t.nosuch > 1;|} []
+
+(* ------------------------------------------------------------------ *)
+(* Attribute slots resolved at install time                           *)
+
+(* Two vertex types holding [age] and [name] at different positions, and
+   an edge type with attributes.  [~swap] builds the same types with every
+   attribute list reversed, on a schema object of its own. *)
+let attr_schema ~swap =
+  let module S = Pgraph.Schema in
+  let order l = if swap then List.rev l else l in
+  let s = S.create () in
+  let _ = S.add_vertex_type s "P" (order [ ("name", S.T_string); ("age", S.T_int) ]) in
+  let _ =
+    S.add_vertex_type s "Q"
+      (order [ ("age", S.T_int); ("zip", S.T_string); ("name", S.T_string) ])
+  in
+  let _ = S.add_edge_type s "R" ~directed:true (order [ ("w", S.T_int); ("tag", S.T_string) ]) in
+  s
+
+let attr_graph schema =
+  let g = G.create schema in
+  let p i = G.add_vertex g "P" [ ("name", V.Str (Printf.sprintf "p%d" i)); ("age", V.Int (20 + i)) ] in
+  let q i =
+    G.add_vertex g "Q"
+      [ ("name", V.Str (Printf.sprintf "q%d" i)); ("age", V.Int (40 + i)); ("zip", V.Str "z") ]
+  in
+  let ps = List.init 3 p and qs = List.init 3 q in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if (i + j) mod 2 = 0 then
+            ignore (G.add_edge g "R" a b [ ("w", V.Int (i + (3 * j))); ("tag", V.Str "t") ]);
+          ignore (G.add_edge g "R" b a [ ("w", V.Int 1); ("tag", V.Str (string_of_int j)) ]))
+        qs)
+    ps;
+  g
+
+(* Adds, after install, a vertex type holding the same names at yet other
+   positions, with vertices and edges of it. *)
+let add_late_type g =
+  let module S = Pgraph.Schema in
+  let _ =
+    S.add_vertex_type (G.schema g) "N"
+      [ ("pad", S.T_int); ("age", S.T_int); ("name", S.T_string) ]
+  in
+  let n = G.add_vertex g "N" [ ("name", V.Str "n0"); ("age", V.Int 90); ("pad", V.Int (-1)) ] in
+  ignore (G.add_edge g "R" n 0 [ ("w", V.Int 100); ("tag", V.Str "late") ]);
+  ignore (G.add_edge g "R" 3 n [ ("w", V.Int 200); ("tag", V.Str "late") ])
+
+let attr_block =
+  {|SumAccum<int> @@ages;
+    SumAccum<int> @@w;
+    SetAccum<string> @@names;
+    All = {ANY};
+    S = SELECT t FROM All:s -(R>:e)- All:t
+        WHERE s.age < 95
+        ACCUM @@ages += s.age * 1000 + t.age, @@w += e.w,
+              @@names += s.name + "/" + e.tag + "/" + t.name;
+    PRINT @@ages;
+    PRINT @@w;
+    PRINT @@names;|}
+
+let test_attr_slots () =
+  let stmts = Gsql.Parser.parse_block attr_block in
+  let installed = attr_graph (attr_schema ~swap:false) in
+  let plan = C.compile_block ~schema:(G.schema installed) stmts in
+  let both label g =
+    let interp = E.run_block g ~params:[] stmts in
+    let compiled = C.run plan ~params:[] g in
+    check_results label interp compiled
+  in
+  both "installed schema" installed;
+  add_late_type installed;
+  both "type added after install" installed;
+  both "other schema" (attr_graph (attr_schema ~swap:true))
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot semantics under the compiled ACCUM row path                 *)
+
+(* Runs a block through both paths with telemetry on; the results and
+   the accum.merge_ops / accum.assign_ops totals must agree.  Compiled
+   kernels apply inputs to accumulators they do not read straight to the
+   store, and those must be counted like buffered ones. *)
+let m_merge = Obs.Metrics.counter "accum.merge_ops"
+let m_assign = Obs.Metrics.counter "accum.assign_ops"
+
+let differential_ops label mkgraph src =
+  let stmts = Gsql.Parser.parse_block src in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let counted f =
+    Obs.Metrics.reset ();
+    let r = f () in
+    (r, Obs.Metrics.value m_merge, Obs.Metrics.value m_assign)
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled was)
+    (fun () ->
+      let gi = mkgraph () in
+      let interp, mi, ai = counted (fun () -> E.run_block gi ~params:[] stmts) in
+      let gc = mkgraph () in
+      let plan = C.compile_block ~schema:(G.schema gc) stmts in
+      let compiled, mc, ac = counted (fun () -> C.run plan ~params:[] gc) in
+      check_results label interp compiled;
+      Alcotest.(check int) (label ^ ": accum.merge_ops") mi mc;
+      Alcotest.(check int) (label ^ ": accum.assign_ops") ai ac;
+      interp)
+
+(* test_gsql_eval's snapshot case: a -> b -> c, every @x starting at 1. *)
+let chain_graph () =
+  let s = Pgraph.Schema.create () in
+  let _ = Pgraph.Schema.add_vertex_type s "V" [ ("name", Pgraph.Schema.T_string) ] in
+  let _ = Pgraph.Schema.add_edge_type s "E" ~directed:true [] in
+  let g = G.create s in
+  let v name = G.add_vertex g "V" [ ("name", V.Str name) ] in
+  let a = v "a" and b = v "b" and c = v "c" in
+  ignore (G.add_edge g "E" a b []);
+  ignore (G.add_edge g "E" b c []);
+  ignore (G.add_edge g "E" b a []);
+  g
+
+let printed (r : E.result) = String.trim r.E.r_printed
+
+let test_snapshot_compiled () =
+  (* t.@x += s.@x must not cascade: each row reads @x as it was before
+     the ACCUM, so b = 1 + 1 (from a), c = 1 + 1 (from b), a = 1 + 1
+     (from b) — never 1 + 2. *)
+  let r =
+    differential_ops "cascade" chain_graph
+      {|SumAccum<int> @x;
+        Init = SELECT v FROM V:v -(E>*0..0)- V:v2 ACCUM v.@x += 1;
+        S = SELECT t FROM V:s -(E>)- V:t ACCUM t.@x += s.@x;
+        SELECT v.name AS name, v.@x AS x INTO Out
+        FROM V:v -(E>*0..0)- V:v2
+        ORDER BY v.name ASC;|}
+  in
+  Alcotest.(check string) "cascade: snapshot values"
+    "cols=[name,x] rows=[[a; 2] [b; 2] [c; 2]]"
+    (table_str (E.table r "Out"));
+  (* A kernel that feeds a global it also reads: @@b sees @@a as it was
+     before the ACCUM (0) on every row. *)
+  let r =
+    differential_ops "feed and read" chain_graph
+      {|SumAccum<int> @@a;
+        SumAccum<int> @@b;
+        S = SELECT t FROM V:s -(E>)- V:t ACCUM @@a += 1, @@b += @@a;
+        PRINT @@a, @@b;|}
+  in
+  Alcotest.(check string) "feed and read: @@b reads the snapshot" "@@a = 3\n@@b = 0" (printed r);
+  (* An assign followed by a read in the same row sees the assigned value
+     (the row's overlay); a read before it, on any row, sees the snapshot. *)
+  let r =
+    differential_ops "assign then read" chain_graph
+      {|SumAccum<int> @@m;
+        SumAccum<int> @@before;
+        SumAccum<int> @@after;
+        S = SELECT t FROM V:s -(E>)- V:t
+            ACCUM @@before += @@m, @@m = 5, @@after += @@m;
+        PRINT @@m, @@before, @@after;|}
+  in
+  Alcotest.(check string) "assign then read: overlay per row"
+    "@@m = 5\n@@before = 0\n@@after = 15" (printed r);
+  (* A kernel that writes only targets it never reads: every op takes the
+     direct path, and the counts still match. *)
+  ignore
+    (differential_ops "unread targets" chain_graph
+       {|SumAccum<int> @in;
+         SumAccum<int> @@rows;
+         ListAccum<string> @@order;
+         MaxAccum<int> @@last;
+         S = SELECT t FROM V:s -(E>)- V:t
+             ACCUM t.@in += 1, @@rows += 1, @@order += s.name + t.name, @@last = 7;
+         PRINT @@rows, @@order, @@last;
+         PRINT S[S.name, S.@in];|})
 
 (* Fixed blocks over a random two-edge-type graph, under every path
    semantics (Existential included, which the random-DARPE property does
@@ -462,6 +693,7 @@ let () =
           Alcotest.test_case "pagerank" `Quick test_pagerank;
           Alcotest.test_case "khop (snb)" `Slow test_khop;
           Alcotest.test_case "common_friends (snb)" `Slow test_common_friends;
+          Alcotest.test_case "multigroup (snb)" `Quick test_multigroup;
           Alcotest.test_case "all compile + describe" `Quick
             test_all_queries_compile;
           Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics ] );
@@ -476,4 +708,8 @@ let () =
       ( "mutation",
         [ Alcotest.test_case "attr writes" `Quick test_attr_write_parity ] );
       ( "errors",
-        [ Alcotest.test_case "error parity" `Quick test_error_parity ] ) ]
+        [ Alcotest.test_case "error parity" `Quick test_error_parity ] );
+      ( "attributes",
+        [ Alcotest.test_case "install-time slots" `Quick test_attr_slots ] );
+      ( "snapshot",
+        [ Alcotest.test_case "compiled snapshot semantics" `Quick test_snapshot_compiled ] ) ]

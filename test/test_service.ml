@@ -510,6 +510,19 @@ let test_engine_errors () =
   (match Service.Engine.install engine "CREATE QUERY broken() { SELECT }" with
    | P.Error (P.Exec_error, _, _) -> ()
    | _ -> Alcotest.fail "expected install error");
+  (* A missing attribute is a query error ([exec_error]), not an internal
+     failure. *)
+  (match
+     Service.Engine.install engine
+       "CREATE QUERY BadAttr() { SumAccum<int> @@s; \
+        S = SELECT t FROM V:s -(E>)- V:t ACCUM @@s += t.nosuch; PRINT @@s; }"
+   with
+   | P.Installed [ "BadAttr" ] -> ()
+   | _ -> Alcotest.fail "BadAttr install failed");
+  (match Service.Engine.invoke engine (invoke_req "BadAttr" []) with
+   | P.Error (P.Exec_error, msg, _) ->
+     Alcotest.(check string) "names the attribute" "vertex type V has no attribute nosuch" msg
+   | _ -> Alcotest.fail "expected exec_error for a missing attribute");
   (match Service.Engine.describe engine "CountPaths" with
    | P.Described (qi, src) ->
      Alcotest.(check (list (pair string string)))
