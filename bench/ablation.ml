@@ -4,8 +4,8 @@
        number of grouping sets g and aggregates-per-set a; GROUPING-SET
        semantics costs Θ(g·a) accumulator updates per row, dedicated
        accumulators Θ(g).
-   (b) Interpreter overhead: PageRank through the GSQL interpreter vs the
-       same algorithm driving the accumulator library directly.
+   (b) GSQL overhead: PageRank as a compiled GSQL plan vs the same
+       algorithm driving the accumulator library directly.
    (c) DFA memoization: repeated pattern queries with a cold vs warm
        automaton cache.
    (d) Multiplicity shortcut: evaluating ACCUM once with µ-scaled input vs
@@ -73,7 +73,7 @@ let web_graph ~pages ~links =
   done;
   g
 
-let interpreter_overhead () =
+let gsql_overhead () =
   let g = web_graph ~pages:1500 ~links:9000 in
   let options = { Galgos.Pagerank.damping = 0.85; max_iterations = 5; max_change = 0.0 } in
   let t_direct =
@@ -86,9 +86,9 @@ let interpreter_overhead () =
   in
   Util.print_table
     ~title:
-      "Ablation (b) — GSQL interpreter vs direct accumulator API (5 PageRank iters, 1.5k \
+      "Ablation (b) — compiled GSQL vs direct accumulator API (5 PageRank iters, 1.5k \
        pages / 9k links)"
-    [ "direct accumulators"; "GSQL interpreter"; "interpreter overhead" ]
+    [ "direct accumulators"; "GSQL (compiled)"; "GSQL overhead" ]
     [ [ Util.ms_to_string t_direct; Util.ms_to_string t_gsql;
         Printf.sprintf "%.2fx" (t_gsql /. t_direct) ] ]
 
@@ -168,9 +168,9 @@ let single_pass_vs_multi_pass () =
     GROUP BY year(m.creationDate);
   |}
   in
-  let t_accum = Util.median_ms ~runs:3 (fun () -> ignore (Gsql.Eval.run_source g accum_src)) in
+  let t_accum = Util.median_ms ~runs:3 (fun () -> ignore (Gsql.Compile.run_source g accum_src)) in
   let t_conv =
-    Util.median_ms ~runs:3 (fun () -> ignore (Gsql.Eval.run_source g conventional_src))
+    Util.median_ms ~runs:3 (fun () -> ignore (Gsql.Compile.run_source g conventional_src))
   in
   Util.print_table
     ~title:
@@ -213,7 +213,7 @@ let parallel_aggregation () =
 
 let run () =
   wasteful_grid ();
-  interpreter_overhead ();
+  gsql_overhead ();
   dfa_cache ();
   multiplicity_shortcut ();
   single_pass_vs_multi_pass ();

@@ -11,16 +11,9 @@
      executed        — every request sets no_cache, so each one runs the
                        installed compiled plan on a worker domain (service
                        overhead + real execution under concurrency);
-     executed-interp — same, with the engine toggled to the Gsql.Eval
-                       tree-walker (Engine.set_interp): the
-                       interpreter-vs-compiled ablation under service
-                       concurrency (docs/COMPILER.md);
      cached          — same invocation without no_cache: after the first
                        miss the whole phase is result-cache hits (pure
                        service overhead).
-   Against a remote server (--connect/--tcp) the ablation phase is
-   skipped — the engine toggle is not a protocol operation.
-
    Reports throughput and p50/p95/p99 client-side latency per phase, plus
    the server's own cache counters and the governor line (cancellations /
    reclaimed / workers_leaked — CI greps it under fault injection).
@@ -521,9 +514,9 @@ let () =
      prerr_endline "--status needs --connect or --tcp";
      exit 2
    | false, _ -> ());
-  let self_hosted, engine_opt, ep =
+  let self_hosted, ep =
     match !target with
-    | Connect ep -> (None, None, ep)
+    | Connect ep -> (None, ep)
     | Self_host ->
       let path =
         Filename.concat
@@ -546,7 +539,7 @@ let () =
       in
       let server = Service.Server.create cfg engine in
       let runner = Domain.spawn (fun () -> Service.Server.run server) in
-      (Some (server, runner, path), Some engine, `Unix path)
+      (Some (server, runner, path), `Unix path)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -590,37 +583,10 @@ let () =
           [ run_phase ep ~name:("invoke:" ^ query) ~no_cache:false ~query
               ~params:!invoke_params ]
         | None ->
-          let executed =
-            run_phase ep ~name:"executed" ~no_cache:true ~query:"CountPaths" ~params
-          in
-          (* The ablation toggle is engine-level, not a protocol op: only
-             meaningful when we hold the engine (self-hosted).  No phase
-             runs while it flips, so workers never see a torn setting. *)
-          let interp =
-            match engine_opt with
-            | None -> []
-            | Some engine ->
-              let was = Service.Engine.use_interp engine in
-              Service.Engine.set_interp engine true;
-              let st =
-                run_phase ep ~name:"executed-interp" ~no_cache:true ~query:"CountPaths"
-                  ~params
-              in
-              Service.Engine.set_interp engine was;
-              [ st ]
-          in
-          (executed :: interp)
-          @ [ run_phase ep ~name:"cached" ~no_cache:false ~query:"CountPaths" ~params ]
+          [ run_phase ep ~name:"executed" ~no_cache:true ~query:"CountPaths" ~params;
+            run_phase ep ~name:"cached" ~no_cache:false ~query:"CountPaths" ~params ]
       in
       print_table stats;
-      (match
-         ( List.find_opt (fun st -> st.ph_name = "executed") stats,
-           List.find_opt (fun st -> st.ph_name = "executed-interp") stats )
-       with
-       | Some c, Some i when c.ph_p50 > 0.0 ->
-         Printf.printf "ablation: interp p50 %.3fms vs compiled p50 %.3fms (%.2fx)\n"
-           i.ph_p50 c.ph_p50 (i.ph_p50 /. c.ph_p50)
-       | _ -> ());
       (* CI parses this under --invoke: successful responses == commits for
          a mutating query on a healthy server. *)
       List.iter

@@ -94,12 +94,10 @@ let print_result (r : Gsql.Eval.result) =
    | None -> ())
 
 let explain_one src =
-  (match Gsql.Parser.parse_query src with
-   | q -> print_string (Gsql.Explain.query q)
-   | exception Gsql.Parser.Error _ ->
-     (match Gsql.Parser.parse_block src with
-      | stmts -> print_string (Gsql.Explain.block stmts)
-      | exception Gsql.Parser.Error msg -> Printf.eprintf "%s\n%!" msg))
+  print_string
+    (match Gsql.Parser.parse_query src with
+     | q -> Gsql.Explain.query q
+     | exception Gsql.Parser.Error _ -> Gsql.Explain.block (Gsql.Parser.parse_block src))
 
 let write_trace path (a : Gsql.Explain.analysis) =
   let doc = Obs.Json.Obj [ ("trace", a.Gsql.Explain.an_trace); ("metrics", a.Gsql.Explain.an_metrics) ] in
@@ -115,30 +113,34 @@ let write_trace path (a : Gsql.Explain.analysis) =
   | exception Sys_error msg -> Printf.eprintf "cannot write trace: %s\n%!" msg
 
 let analyze_one graph semantics params trace_file ~print_report src =
-  match Gsql.Explain.analyze_source graph ?semantics ~params src with
-  | a ->
-    if print_report then print_string a.Gsql.Explain.an_report;
-    print_result a.Gsql.Explain.an_result;
-    (match trace_file with Some path -> write_trace path a | None -> ())
-  | exception Gsql.Eval.Runtime_error msg -> Printf.eprintf "runtime error: %s\n%!" msg
-  | exception Gsql.Parser.Error msg -> Printf.eprintf "%s\n%!" msg
+  let a = Gsql.Explain.analyze_source graph ?semantics ~params src in
+  if print_report then print_string a.Gsql.Explain.an_report;
+  print_result a.Gsql.Explain.an_result;
+  match trace_file with Some path -> write_trace path a | None -> ()
 
+(* Runs one query and reports a parse or runtime error on stderr; [false]
+   when it failed. *)
 let run_one graph semantics params ~explain ~analyze ~trace_file src =
   (* A leading EXPLAIN / EXPLAIN ANALYZE keyword does the same as the
      --explain / --analyze flags (handy in the repl). *)
   let mode, src = Gsql.Explain.strip_explain src in
   let mode = if analyze then `Analyze else if explain then `Explain else mode in
-  match mode, trace_file with
-  | `Explain, _ -> explain_one src
-  | `Analyze, _ -> analyze_one graph semantics params trace_file ~print_report:true src
-  | `Plain, Some _ ->
-    (* --trace without --analyze: execute under tracing, keep normal output. *)
-    analyze_one graph semantics params trace_file ~print_report:false src
-  | `Plain, None ->
-    (match Gsql.Eval.run_source graph ?semantics ~params src with
-     | result -> print_result result
-     | exception Gsql.Eval.Runtime_error msg -> Printf.eprintf "runtime error: %s\n%!" msg
-     | exception Gsql.Parser.Error msg -> Printf.eprintf "%s\n%!" msg)
+  match
+    match mode, trace_file with
+    | `Explain, _ -> explain_one src
+    | `Analyze, _ -> analyze_one graph semantics params trace_file ~print_report:true src
+    | `Plain, Some _ ->
+      (* --trace without --analyze: execute under tracing, keep normal output. *)
+      analyze_one graph semantics params trace_file ~print_report:false src
+    | `Plain, None -> print_result (Gsql.Compile.run_source graph ?semantics ~params src)
+  with
+  | () -> true
+  | exception Gsql.Eval.Runtime_error msg ->
+    Printf.eprintf "runtime error: %s\n%!" msg;
+    false
+  | exception Gsql.Parser.Error msg ->
+    Printf.eprintf "%s\n%!" msg;
+    false
 
 let repl graph semantics params =
   print_endline "GSQL repl — terminate a query with a line containing only ';;', ctrl-d to quit.";
@@ -150,8 +152,10 @@ let repl graph semantics params =
        flush stdout;
        let line = input_line stdin in
        if String.trim line = ";;" then begin
-         run_one graph semantics params ~explain:false ~analyze:false ~trace_file:None
-           (Buffer.contents buf);
+         (* An error is reported and the prompt comes back. *)
+         ignore
+           (run_one graph semantics params ~explain:false ~analyze:false ~trace_file:None
+              (Buffer.contents buf));
          Buffer.clear buf
        end
        else begin
@@ -198,7 +202,9 @@ let main graph_spec query_file query_string param_specs semantics_name stats ic_
      in
      print_result (Ldbc.Ic.run t ?semantics ~hops ~seed ic)
    | None -> ());
-  let handle = run_one graph semantics params ~explain ~analyze ~trace_file in
+  let handle src =
+    if not (run_one graph semantics params ~explain ~analyze ~trace_file src) then exit 1
+  in
   (match query_file with
    | Some path ->
      let ic = open_in path in

@@ -53,14 +53,14 @@ let () =
   in
   let g = G.create schema in
   ignore
-    (Gsql.Eval.run_source g {|
+    (Gsql.Compile.run_source g {|
       INSERT INTO Account (name) VALUES ('ida');
       INSERT INTO Account (name) VALUES ('joe');
       INSERT INTO Account (name) VALUES ('kat');
     |});
   let account name = Option.get (G.find_vertex_by_attr g "Account" "name" (V.Str name)) in
   ignore
-    (Gsql.Eval.run_source g
+    (Gsql.Compile.run_source g
        ~params:
          [ ("ida", V.Vertex (account "ida")); ("joe", V.Vertex (account "joe"));
            ("kat", V.Vertex (account "kat")) ]
@@ -73,7 +73,7 @@ let () =
 
   (* Use the custom accumulators from GSQL like any built-in. *)
   let result =
-    Gsql.Eval.run_source g {|
+    Gsql.Compile.run_source g {|
       GeoMeanAccum @@typicalPayment;
       GcdAccum @@granularity;
       S = SELECT a

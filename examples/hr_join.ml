@@ -65,7 +65,7 @@ let () =
     WHERE p.worksAtACME;
   |}
   in
-  let result = Gsql.Eval.run_source g gsql in
+  let result = Gsql.Compile.run_source g gsql in
   let graph_side = Gsql.Eval.table result "Outside" in
 
   (* The relational join: Employee ⋈_email Outside, ordered by count. *)

@@ -38,12 +38,11 @@ CREATE QUERY PageRank (float maxChange, int maxIteration, float dampingFactor) {
 
 let () =
   let g = build_web ~pages:200 ~links:1200 ~seed:7 in
-  let query = Gsql.Parser.parse_query figure4 in
   let result =
-    Gsql.Eval.run_query g
+    Gsql.Compile.run_source g
       ~params:
         [ ("maxChange", V.Float 1e-6); ("maxIteration", V.Int 50); ("dampingFactor", V.Float 0.85) ]
-      query
+      figure4
   in
   Printf.printf "Top pages by PageRank (200 pages, 1200 zipf links):\n%s"
     (Gsql.Table.to_string (Gsql.Eval.table result "Ranks"));

@@ -44,7 +44,7 @@ let () =
     ORDER BY p.@friendCount DESC, p.name ASC;
   |}
   in
-  let result = Gsql.Eval.run_source g query in
+  let result = Gsql.Compile.run_source g query in
   print_endline "Friend summary (undirected Friend edges):";
   print_endline (Gsql.Table.to_string (Gsql.Eval.table result "Summary"));
 
@@ -56,6 +56,6 @@ let () =
     PRINT S[S.name];
   |}
   in
-  let result = Gsql.Eval.run_source g reach in
+  let result = Gsql.Compile.run_source g reach in
   print_endline "People dan follows within 2 hops:";
   print_string result.Gsql.Eval.r_printed

@@ -52,9 +52,8 @@ let () =
       (tia, blocks); (tia, drone);
       (ulf, drone) ];
 
-  let query = Gsql.Parser.parse_query topktoys in
   let result =
-    Gsql.Eval.run_query g ~params:[ ("c", V.Vertex rae); ("k", V.Int 3) ] query
+    Gsql.Compile.run_source g ~params:[ ("c", V.Vertex rae); ("k", V.Int 3) ] topktoys
   in
   Printf.printf "Top toys for rae (similar customers weigh in by log-cosine):\n%s"
     (Gsql.Table.to_string (Gsql.Eval.table result "Recommended"));

@@ -70,7 +70,7 @@ let figure2 = {|
 
 let () =
   let g = build_sales_graph () in
-  let result = Gsql.Eval.run_source g figure2 in
+  let result = Gsql.Compile.run_source g figure2 in
   print_endline "Toy revenue per customer:";
   print_endline (Gsql.Table.to_string (Gsql.Eval.table result "PerCust"));
   print_endline "Toy revenue per product:";

@@ -55,11 +55,10 @@ CREATE QUERY CountPaths (string srcName, string tgtName) SEMANTICS '%s' {
   in
   List.iter
     (fun sem ->
-      let q = Gsql.Parser.parse_query (query sem) in
       let result =
-        Gsql.Eval.run_query g
+        Gsql.Compile.run_source g
           ~params:[ ("srcName", Pgraph.Value.Str "v0"); ("tgtName", Pgraph.Value.Str "v8") ]
-          q
+          (query sem)
       in
       Printf.printf "GSQL CountPaths v0→v8 under %s:\n%s" sem result.Gsql.Eval.r_printed)
     [ "all-shortest"; "non-repeated-edge" ]

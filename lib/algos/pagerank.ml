@@ -117,7 +117,7 @@ let run_gsql g ?(options = default_options) ~vertex_type ~edge_type () =
       ("dampingFactor", V.Float options.damping) ]
   in
   let result =
-    Gsql.Eval.run_source g ~params (gsql_source ~vertex_type ~edge_type)
+    Gsql.Compile.run_source g ~params (gsql_source ~vertex_type ~edge_type)
   in
   let n = G.n_vertices g in
   let out = Array.make n 1.0 in

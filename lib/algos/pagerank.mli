@@ -5,8 +5,8 @@
       [SumAccum] for received score, global [MaxAccum] for the convergence
       test, snapshot phases per iteration) — the shape a host-language
       application built on this library would use;
-    - {!run_gsql} executes the paper's Figure 4 query text through the GSQL
-      interpreter.
+    - {!run_gsql} executes the paper's Figure 4 query text as a compiled
+      GSQL plan ({!Gsql.Compile.run_source}).
 
     Both follow the query's exact update rule, so they agree to floating
     point rounding — a property the test suite checks. *)

@@ -4,9 +4,9 @@
     Mirrors TigerGraph's install-then-call workflow ([CREATE QUERY] once,
     invoke many times): installation parses, analyzes and lowers each query
     to a {!Compile} closure plan eagerly, so calls fail fast and the
-    per-invoke hot path never tree-walks the AST.  The interpreter remains
-    available per call ([~interp:true]) or process-wide ([GSQL_INTERP=1])
-    as the differential-testing oracle — see docs/COMPILER.md.
+    per-invoke hot path never tree-walks the AST.  The interpreter
+    ({!Eval}) is only the differential-testing oracle — see
+    docs/COMPILER.md.
 
     Entries are immutable once installed; {!replace_query} swaps a name to
     a new (query, plan, generation) triple atomically, so a concurrent
@@ -58,12 +58,10 @@ val drop : t -> string -> unit
 (** Removes a query; silent when absent. *)
 
 val run :
-  ?interp:bool -> t -> Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
+  t -> Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
   params:(string * Pgraph.Value.t) list -> string -> Eval.result
-(** [run cat g ~params name] executes the installed query — through its
-    compiled plan by default, through {!Eval} when [interp:true] or the
-    [GSQL_INTERP] environment variable is set.  Raises {!Error} on an
-    unknown name. *)
+(** [run cat g ~params name] executes the installed query's compiled
+    plan.  Raises {!Error} on an unknown name. *)
 
 val info_of : t -> string -> Analyze.info
 (** Analysis results recorded at install time (tractability, mutation

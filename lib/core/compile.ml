@@ -1,14 +1,14 @@
-(* Install-time lowering of analyzed GSQL to closure plans.
+(* Install-time lowering of analyzed GSQL to closure plans — the only
+   executor; Eval is the oracle it is tested against.
 
-   The compiled runtime shares Eval's execution context: compiled ops and
-   interpreted fallback statements (PRINT, INSERT, GROUP-BY selects) run
-   against the same ctx, store, and variable table, so the two paths
-   compose within one run and cannot diverge on shared state.  Every
-   dynamic decision the interpreter makes per invoke — alias-name slot
-   scans, WHERE push-down decomposition, POST_ACCUM grouping, segment
-   symbol resolution — is made once here; what remains at invoke time is
-   flat int-array loops with Interrupt checkpoints at the same program
-   points the interpreter ticks.  See docs/COMPILER.md. *)
+   The compiled runtime shares Eval's execution context (ctx, store,
+   variable table) and calls Eval's statement, output and aggregate
+   helpers rather than keeping copies of them.  Every dynamic decision the
+   interpreter makes per invoke — alias-name slot scans, WHERE push-down
+   decomposition, POST_ACCUM grouping, segment symbol resolution — is made
+   once here; what remains at invoke time is flat int-array loops with
+   Interrupt checkpoints at the same program points the interpreter ticks.
+   See docs/COMPILER.md. *)
 
 module V = Pgraph.Value
 module B = Pgraph.Bignat
@@ -32,6 +32,8 @@ type renv = {
   mutable locals : V.t array; (* ACCUM-local slots, [unset]-initialized *)
   mutable probe : int;        (* vertex id in single-vertex contexts *)
   mutable combo : int array;  (* distinct-combo values in output contexts *)
+  mutable group : (int * B.t) list;
+      (* GROUP BY: the current group's rows as (base offset, multiplicity) *)
   mutable overlay : E.overlay option;
 }
 
@@ -50,9 +52,11 @@ type binder =
 type scope = {
   sc_schema : Pgraph.Schema.t option;  (* the schema installed against *)
   sc_binders : binder list;
+  sc_groups : bool;  (* aggregate calls fold [renv.group] (GROUP BY) *)
 }
 
-let gscope schema = { sc_schema = schema; sc_binders = [] }
+let scope schema binders = { sc_schema = schema; sc_binders = binders; sc_groups = false }
+let gscope schema = scope schema []
 
 (* Static chain: first binder that can bind the name contributes a step;
    dynamic non-binding (unset local, -1 slot) falls through exactly like
@@ -136,11 +140,11 @@ let rec dyn_lookup binders env name : V.t option =
 
 (* Bridge to Eval for rare expression forms (methods): an Eval.env whose
    lookup resolves through this scope at runtime. *)
-let to_eval_env sc env : E.env =
+let to_eval_env sc env agg : E.env =
   { E.e_ctx = env.ctx;
     e_lookup = (fun n -> dyn_lookup sc.sc_binders env n);
     e_overlay = env.overlay;
-    e_agg = None }
+    e_agg = Option.map (fun f -> f env) agg }
 
 let ctx_value env name =
   match E.ctx_var_value env.ctx name with
@@ -352,6 +356,19 @@ let rec compile_expr sc (e : Ast.expr) : rx =
   | Ast.E_unop (Ast.Not, a) ->
     let ca = compile_expr sc a in
     fun env -> vbool (not (V.to_bool (ca env)))
+  | Ast.E_call (name, [ arg ]) when sc.sc_groups && E.is_aggregate_name name ->
+    (* Folds the group's rows; the representative row stays current for
+       the rest of the expression. *)
+    let carg = compile_expr { sc with sc_groups = false } arg in
+    fun env ->
+      let rep = env.base in
+      let value (base, _) =
+        env.base <- base;
+        carg env
+      in
+      let v = E.aggregate name arg ~mult:snd ~value env.group in
+      env.base <- rep;
+      v
   | Ast.E_call (name, args) ->
     (match E.builtin name (List.length args), List.map (compile_expr sc) args with
      | E.F1 f, [ ca ] -> fun env -> f (ca env)
@@ -363,7 +380,12 @@ let rec compile_expr sc (e : Ast.expr) : rx =
      | b, cargs -> fun env -> E.apply_builtin b (List.map (fun c -> c env) cargs))
   | Ast.E_method _ ->
     (* Methods resolve vertices through the raw env; bridge to Eval. *)
-    fun env -> E.eval_expr (to_eval_env sc env) e
+    let agg =
+      if sc.sc_groups then
+        Some (fun env name arg -> compile_expr sc (Ast.E_call (name, [ arg ])) env)
+      else None
+    in
+    fun env -> E.eval_expr (to_eval_env sc env agg) e
   | Ast.E_tuple es ->
     let ces = Array.of_list (List.map (compile_expr sc) es) in
     fun env -> V.Vtuple (eval_array ces env)
@@ -885,19 +907,15 @@ type op = {
   op_exec : renv -> unit;
   op_lines : string list;  (* describe lines, indentation baked in *)
   op_total : int;
-  op_compiled : int;
 }
 
 let indent lines = List.map (fun l -> "  " ^ l) lines
 
-let fallback_op (s : Ast.stmt) label =
-  { op_exec = (fun env -> E.exec_stmt env.ctx s);
-    op_lines = [ label ^ "  [interpreted]" ];
-    op_total = 1;
-    op_compiled = 0 }
+(* A single-statement op: ticks the governor, then runs. *)
+let leaf_op line exec =
+  { op_exec = (fun env -> Interrupt.tick (); exec env); op_lines = [ line ]; op_total = 1 }
 
 let sum_total ops = List.fold_left (fun a o -> a + o.op_total) 0 ops
-let sum_compiled ops = List.fold_left (fun a o -> a + o.op_compiled) 0 ops
 let child_lines ops = List.concat_map (fun o -> indent o.op_lines) ops
 
 (* ------------------------------------------------------------------ *)
@@ -907,8 +925,7 @@ let m_selects = Obs.Metrics.counter "compile.select_blocks"
 let h_select_ms = Obs.Metrics.histogram "compile.select_ms"
 
 type cout = {
-  co_into : string;
-  co_distinct : bool;
+  co_spec : Ast.output_spec;
   co_cols : string list;
   co_aliases : string list;
   co_slots : [ `V of int | `E of int ] list;
@@ -918,44 +935,15 @@ type cout = {
   co_order : ((renv -> V.t) * bool) list;
 }
 
-(* Aliases (vertex or edge) an output expression mentions — the
-   interpreter's [expr_aliases] over the binding table's slot arrays. *)
-let rec expr_aliases_static va ea (e : Ast.expr) : string list =
-  match e with
-  | Ast.E_var v | Ast.E_attr (v, _) | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _)
-    ->
-    if E.alias_slot va v >= 0 || E.alias_slot ea v >= 0 then [ v ] else []
-  | Ast.E_binop (_, a, b) ->
-    expr_aliases_static va ea a @ expr_aliases_static va ea b
-  | Ast.E_unop (_, a) -> expr_aliases_static va ea a
-  | Ast.E_call (_, args) | Ast.E_tuple args ->
-    List.concat_map (expr_aliases_static va ea) args
-  | Ast.E_method (base, _, args) ->
-    expr_aliases_static va ea base @ List.concat_map (expr_aliases_static va ea) args
-  | Ast.E_arrow (ks, vs) -> List.concat_map (expr_aliases_static va ea) (ks @ vs)
-  | Ast.E_int _ | Ast.E_float _ | Ast.E_string _ | Ast.E_bool _ | Ast.E_null
-  | Ast.E_gacc _ | Ast.E_gacc_prev _ -> []
-
-let column_name (e, alias) =
-  match alias with Some a -> a | None -> Ast.expr_to_string e
-
-let sort_keys_cmp (ka, _, _) (kb, _, _) =
-  let rec go a b =
-    match a, b with
-    | [], [] -> 0
-    | (va, desc) :: ra, (vb, _) :: rb ->
-      let c = V.compare va vb in
-      let c = if desc then -c else c in
-      if c <> 0 then c else go ra rb
-    | _ -> 0
-  in
-  go ka kb
+(* Stable sort on precomputed ORDER BY keys. *)
+let sort_by_keys keyed =
+  List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> E.compare_keys ka kb) keyed)
 
 let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     (b : Ast.select_block) : op =
   let v_aliases, e_aliases = E.collect_aliases b.Ast.s_from in
   let nv = Array.length v_aliases and ne = Array.length e_aliases in
-  let row_sc = { sc_schema = schema; sc_binders = [ B_row (v_aliases, e_aliases) ] } in
+  let row_sc = scope schema [ B_row (v_aliases, e_aliases) ] in
   (* WHERE push-down, decomposed at compile time: single-vertex-alias
      conjuncts become per-candidate probe predicates, the rest a residual
      row filter. *)
@@ -991,7 +979,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
       let compiled =
         Hashtbl.fold
           (fun name parts acc ->
-            let psc = { sc_schema = schema; sc_binders = [ B_probe name ] } in
+            let psc = scope schema [ B_probe name ] in
             (name, List.map (compile_bool psc) parts) :: acc)
           by_alias []
       in
@@ -1042,37 +1030,21 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   let residual = Option.map (compile_bool row_sc) residual_expr in
   (* ACCUM kernel. *)
   let acc_locals, acc_nlocals = collect_locals b.Ast.s_accum in
-  let acc_sc =
-    { sc_schema = schema;
-      sc_binders = [ B_locals acc_locals; B_row (v_aliases, e_aliases) ] }
-  in
+  let acc_sc = scope schema [ B_locals acc_locals; B_row (v_aliases, e_aliases) ] in
   let acc_kernel =
     compile_kernel acc_sc acc_locals (kernel_reads b.Ast.s_accum) b.Ast.s_accum
   in
   let acc_overlay = has_assign b.Ast.s_accum in
   (* POST_ACCUM: consecutive statements grouped by driving alias, one
      execution per distinct vertex (statically grouped via Analyze). *)
-  let post_groups =
-    List.fold_left
-      (fun acc stmt ->
-        let a =
-          match Analyze.post_accum_aliases stmt with [] -> None | x :: _ -> Some x
-        in
-        match acc with
-        | (a', stmts') :: rest when a' = a -> (a', stmt :: stmts') :: rest
-        | _ -> (a, [ stmt ]) :: acc)
-      [] b.Ast.s_post_accum
-    |> List.rev_map (fun (a, ss) -> (a, List.rev ss))
-    |> List.rev
-  in
   let cgroups =
     List.map
       (fun (alias, stmts) ->
         let locals, nlocals = collect_locals stmts in
         let sc =
           match alias with
-          | None -> { sc_schema = schema; sc_binders = [ B_locals locals ] }
-          | Some a -> { sc_schema = schema; sc_binders = [ B_probe a; B_locals locals ] }
+          | None -> scope schema [ B_locals locals ]
+          | Some a -> scope schema [ B_probe a; B_locals locals ]
         in
         { cg_alias = alias;
           cg_slot =
@@ -1082,7 +1054,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
           cg_kernel = compile_kernel sc locals (kernel_reads stmts) stmts;
           cg_nlocals = nlocals;
           cg_overlay = has_assign stmts })
-      post_groups
+      (E.post_accum_groups b.Ast.s_post_accum)
   in
   let exec_accum env bt =
     if Array.length acc_kernel > 0 then
@@ -1154,27 +1126,105 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   let chaving_v =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) ->
-      let psc = { sc_schema = schema; sc_binders = [ B_probe alias ] } in
+      let psc = scope schema [ B_probe alias ] in
       Option.map (compile_bool psc) b.Ast.s_having
     | Ast.Sel_outputs _ -> None
   in
   let corder_v =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) ->
-      let psc = { sc_schema = schema; sc_binders = [ B_probe alias ] } in
+      let psc = scope schema [ B_probe alias ] in
       List.map (fun (e, desc) -> (compile_expr psc e, desc)) b.Ast.s_order_by
     | Ast.Sel_outputs _ -> []
+  in
+  (* GROUP BY outputs: keys in the row scope; HAVING, ORDER BY and the
+     outputs in the group scope, where aggregate calls fold the group's
+     rows and other leaves read its first row. *)
+  let grouped, group_outputs =
+    match b.Ast.s_target with
+    | Ast.Sel_outputs outputs when b.Ast.s_group_by <> [] -> (true, outputs)
+    | _ -> (false, [])
+  in
+  let gsc = { row_sc with sc_groups = true } in
+  let gkeys = Array.of_list (List.map (compile_expr row_sc) b.Ast.s_group_by) in
+  let ghaving = if grouped then Option.map (compile_bool gsc) b.Ast.s_having else None in
+  let gorder =
+    if grouped then List.map (fun (e, desc) -> (compile_expr gsc e, desc)) b.Ast.s_order_by
+    else []
+  in
+  let gouts =
+    List.map
+      (fun (o : Ast.output_spec) ->
+        ( o,
+          List.map E.column_name o.Ast.o_exprs,
+          Array.of_list (List.map (fun (e, _) -> compile_expr gsc e) o.Ast.o_exprs) ))
+      group_outputs
+  in
+  let exec_grouped env bt =
+    let rows = List.init bt.f_n (fun r -> (r * bt.f_stride, bt.f_mult.(r))) in
+    let enter group =
+      env.group <- group;
+      env.base <- fst (List.hd group)
+    in
+    let groups =
+      E.group_by_key
+        (fun (base, _) ->
+          env.base <- base;
+          V.Vtuple (eval_array gkeys env))
+        rows
+    in
+    let groups =
+      match ghaving with
+      | None -> groups
+      | Some pred ->
+        List.filter
+          (fun g ->
+            enter g;
+            pred env)
+          groups
+    in
+    let groups =
+      match gorder with
+      | [] -> groups
+      | keys ->
+        sort_by_keys
+          (List.map
+             (fun g ->
+               enter g;
+               (List.map (fun (ck, desc) -> (ck env, desc)) keys, g))
+             groups)
+    in
+    let groups =
+      match climit with
+      | None -> groups
+      | Some cl ->
+        let n = V.to_int (cl env) in
+        List.filteri (fun i _ -> i < n) groups
+    in
+    List.iter
+      (fun (o, cols, cexprs) ->
+        let rows =
+          List.map
+            (fun g ->
+              enter g;
+              eval_array cexprs env)
+            groups
+        in
+        E.bind_output env.ctx o (Table.create cols rows))
+      gouts;
+    env.group <- []
   in
   let couts =
     match b.Ast.s_target with
     | Ast.Sel_vertices _ -> []
+    | Ast.Sel_outputs _ when grouped -> []
     | Ast.Sel_outputs outputs ->
       List.map
         (fun (o : Ast.output_spec) ->
           let aliases =
             List.sort_uniq compare
               (List.concat_map
-                 (fun (e, _) -> expr_aliases_static v_aliases e_aliases e)
+                 (fun (e, _) -> E.expr_aliases v_aliases e_aliases e)
                  o.Ast.o_exprs)
           in
           let bad = ref None in
@@ -1194,23 +1244,19 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
               aliases
           in
           let csc =
-            { sc_schema = schema; sc_binders =
-                [ B_combo
-                    (List.mapi
-                       (fun i a -> (a, i, E.alias_slot v_aliases a < 0))
-                       aliases) ] }
+            scope schema
+              [ B_combo (List.mapi (fun i a -> (a, i, E.alias_slot v_aliases a < 0)) aliases) ]
           in
           let applicable_order =
             List.filter
               (fun (key, _) ->
                 List.for_all
                   (fun a -> List.mem a aliases)
-                  (expr_aliases_static v_aliases e_aliases key))
+                  (E.expr_aliases v_aliases e_aliases key))
               b.Ast.s_order_by
           in
-          { co_into = o.Ast.o_into;
-            co_distinct = o.Ast.o_distinct;
-            co_cols = List.map column_name o.Ast.o_exprs;
+          { co_spec = o;
+            co_cols = List.map E.column_name o.Ast.o_exprs;
             co_aliases = aliases;
             co_slots = slots;
             co_bad_alias = !bad;
@@ -1253,15 +1299,11 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
         match corder_v with
         | [] -> vids
         | keys ->
-          let with_keys =
-            Array.to_list vids
-            |> List.map (fun v ->
-                   env.probe <- v;
-                   ( List.map (fun (ck, desc) -> (ck env, desc)) keys,
-                     [| V.Int v |], v ))
-          in
-          let sorted = List.stable_sort sort_keys_cmp with_keys in
-          Array.of_list (List.map (fun (_, _, v) -> v) sorted)
+          Array.to_list vids
+          |> List.map (fun v ->
+                 env.probe <- v;
+                 (List.map (fun (ck, desc) -> (ck env, desc)) keys, v))
+          |> sort_by_keys |> Array.of_list
       in
       let vids =
         match climit with
@@ -1276,6 +1318,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
       let bind name = Hashtbl.replace env.ctx.E.vars name (E.R_vset vids) in
       Option.iter bind binding;
       Option.iter bind into
+    | Ast.Sel_outputs _ when grouped -> exec_grouped env bt
     | Ast.Sel_outputs _ ->
       List.iter
         (fun (o : cout) ->
@@ -1326,16 +1369,12 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
             match o.co_order with
             | [] -> rows
             | keys ->
-              let with_keys =
-                List.map
-                  (fun (row, c) ->
-                    env.combo <- c;
-                    (List.map (fun (ck, desc) -> (ck env, desc)) keys, row, c))
-                  rows
-              in
-              List.map
-                (fun (_, row, c) -> (row, c))
-                (List.stable_sort sort_keys_cmp with_keys)
+              sort_by_keys
+                (List.map
+                   (fun (row, c) ->
+                     env.combo <- c;
+                     (List.map (fun (ck, desc) -> (ck env, desc)) keys, (row, c)))
+                   rows)
           in
           let rows =
             match climit with
@@ -1344,10 +1383,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
               let n = V.to_int (cl env) in
               List.filteri (fun i _ -> i < n) rows
           in
-          let table = Table.create o.co_cols (List.map fst rows) in
-          let table = if o.co_distinct then Table.distinct table else table in
-          env.ctx.E.tables <- (o.co_into, table) :: env.ctx.E.tables;
-          Hashtbl.replace env.ctx.E.vars o.co_into (E.R_table table))
+          E.bind_output env.ctx o.co_spec (Table.create o.co_cols (List.map fst rows)))
         couts
   in
   let exec_inner env =
@@ -1434,6 +1470,12 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     if cgroups = [] then []
     else [ Printf.sprintf "post-accum: %d groups" (List.length cgroups) ]
   in
+  let group_line =
+    if not grouped then []
+    else
+      [ "group by: "
+        ^ String.concat ", " (List.map Ast.expr_to_string b.Ast.s_group_by) ]
+  in
   let out_line =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) -> [ "emit: vertex set " ^ alias ]
@@ -1452,9 +1494,8 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   { op_exec;
     op_lines =
       ("select " ^ signature)
-      :: indent (conj_lines @ where_line @ accum_line @ post_line @ out_line);
-    op_total = 1 + n_inner;
-    op_compiled = 1 + n_inner }
+      :: indent (conj_lines @ where_line @ accum_line @ post_line @ group_line @ out_line);
+    op_total = 1 + n_inner }
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -1470,26 +1511,50 @@ let set_label x = function
        | Ast.Op_minus -> "MINUS")
       b
 
-let resolve_set_types ctx types =
-  match types with
-  | [ "*" ] -> Array.init (G.n_vertices ctx.E.graph) (fun i -> i)
-  | _ ->
-    Array.concat
-      (List.map
-         (fun ty ->
-           match Pgraph.Schema.find_vertex_type (G.schema ctx.E.graph) ty with
-           | Some vt -> G.vertices_of_type ctx.E.graph vt.Pgraph.Schema.vt_id
-           | None -> E.error "unknown vertex type %s" ty)
-         types)
-
 let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
   match s with
-  | Ast.S_select (binding, blk) when blk.Ast.s_group_by = [] ->
-    compile_select schema binding blk
-  | Ast.S_select (_, blk) ->
-    fallback_op s ("select (group-by) " ^ Ast.select_signature blk)
-  | Ast.S_print _ -> fallback_op s "print"
-  | Ast.S_insert (ty, _, _) -> fallback_op s ("insert into " ^ ty)
+  | Ast.S_select (binding, blk) -> compile_select schema binding blk
+  | Ast.S_print items ->
+    let label e alias = Option.value alias ~default:(Ast.expr_to_string e) in
+    let compile_item = function
+      | Ast.P_expr ((Ast.E_var name as e), alias) ->
+        (* A variable of any kind prints under its own name. *)
+        let ce = compile_expr (gscope schema) e in
+        let label = Option.value alias ~default:name in
+        fun env ->
+          (match Hashtbl.find_opt env.ctx.E.vars name with
+           | Some rv -> E.print_binding env.ctx label rv
+           | None -> E.print_value env.ctx label (ce env))
+      | Ast.P_expr (e, alias) ->
+        let ce = compile_expr (gscope schema) e in
+        let label = label e alias in
+        fun env -> E.print_value env.ctx label (ce env)
+      | Ast.P_proj (setname, exprs) ->
+        let ces = Array.of_list (List.map (compile_expr (scope schema [ B_probe setname ])) exprs) in
+        fun env ->
+          let rows =
+            Array.map
+              (fun v ->
+                env.probe <- v;
+                eval_array ces env)
+              (E.projected_set env.ctx setname)
+          in
+          E.print_projection env.ctx setname exprs (Array.to_list rows)
+    in
+    let citems = List.map compile_item items in
+    leaf_op
+      ("print "
+       ^ String.concat ", "
+           (List.map
+              (function
+                | Ast.P_expr (e, alias) -> label e alias
+                | Ast.P_proj (setname, _) -> setname ^ "[...]")
+              items))
+      (fun env -> List.iter (fun f -> f env) citems)
+  | Ast.S_insert (ty, attrs, values) ->
+    let cvalues = List.map (compile_expr (gscope schema)) values in
+    leaf_op ("insert into " ^ ty) (fun env ->
+        E.insert env.ctx ty attrs (List.map (fun ce -> ce env) cvalues))
   | Ast.S_acc_decl d ->
     let cinit = Option.map (compile_expr (gscope schema)) d.Ast.d_init in
     let names =
@@ -1498,110 +1563,21 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
            (fun (g, n) -> (if g then "@@" else "@") ^ n)
            d.Ast.d_names)
     in
-    { op_exec =
-        (fun env ->
-          Interrupt.tick ();
-          let ctx = env.ctx in
-          let init = match cinit with None -> None | Some ce -> Some (ce env) in
-          List.iter
-            (fun (is_global, name) ->
-              if is_global then begin
-                Accum.Store.declare_global ctx.E.store name d.Ast.d_spec;
-                Option.iter
-                  (fun v ->
-                    Accum.Store.assign_now ctx.E.store (Accum.Store.Global name) v)
-                  init
-              end
-              else begin
-                Accum.Store.declare_vertex ctx.E.store name d.Ast.d_spec
-                  ~n_vertices:(G.n_vertices ctx.E.graph);
-                Option.iter (Accum.Store.set_vertex_init ctx.E.store name) init
-              end)
-            d.Ast.d_names);
-      op_lines = [ "accum-decl " ^ names ];
-      op_total = 1;
-      op_compiled = 1 }
+    leaf_op ("accum-decl " ^ names) (fun env ->
+        E.declare env.ctx d (Option.map (fun ce -> ce env) cinit))
   | Ast.S_set_assign (x, src) ->
-    let exec =
-      match src with
-      | Ast.Set_types types ->
-        fun env ->
-          Hashtbl.replace env.ctx.E.vars x
-            (E.R_vset (resolve_set_types env.ctx types))
-      | Ast.Set_copy y ->
-        fun env ->
-          (match Hashtbl.find_opt env.ctx.E.vars y with
-           | Some rv -> Hashtbl.replace env.ctx.E.vars x rv
-           | None -> E.error "unbound set variable %s" y)
-      | Ast.Set_op (op, a, b) ->
-        fun env ->
-          let resolve name =
-            match Hashtbl.find_opt env.ctx.E.vars name with
-            | Some (E.R_vset vs) -> vs
-            | Some _ -> E.error "%s is not a vertex set" name
-            | None ->
-              (match
-                 Pgraph.Schema.find_vertex_type (G.schema env.ctx.E.graph) name
-               with
-               | Some vt ->
-                 G.vertices_of_type env.ctx.E.graph vt.Pgraph.Schema.vt_id
-               | None -> E.error "unbound set variable %s" name)
-          in
-          let va = resolve a and vb = resolve b in
-          let in_b = Hashtbl.create (Array.length vb) in
-          Array.iter (fun v -> Hashtbl.replace in_b v ()) vb;
-          let result =
-            match op with
-            | Ast.Op_union ->
-              let seen = Hashtbl.create (Array.length va + Array.length vb) in
-              let out = ref [] in
-              Array.iter
-                (fun v ->
-                  if not (Hashtbl.mem seen v) then begin
-                    Hashtbl.add seen v ();
-                    out := v :: !out
-                  end)
-                (Array.append va vb);
-              Array.of_list (List.rev !out)
-            | Ast.Op_intersect ->
-              Array.of_list (List.filter (Hashtbl.mem in_b) (Array.to_list va))
-            | Ast.Op_minus ->
-              Array.of_list
-                (List.filter (fun v -> not (Hashtbl.mem in_b v)) (Array.to_list va))
-          in
-          Hashtbl.replace env.ctx.E.vars x (E.R_vset result)
-    in
-    { op_exec = (fun env -> Interrupt.tick (); exec env);
-      op_lines = [ "set " ^ set_label x src ];
-      op_total = 1;
-      op_compiled = 1 }
+    leaf_op ("set " ^ set_label x src) (fun env -> E.set_assign env.ctx x src)
   | Ast.S_gacc_assign (name, is_input, e) ->
     let ce = compile_expr (gscope schema) e in
     let tgt = Accum.Store.Global name in
-    { op_exec =
-        (fun env ->
-          Interrupt.tick ();
-          let v = ce env in
-          if is_input then Accum.Store.input_now env.ctx.E.store tgt v
-          else Accum.Store.assign_now env.ctx.E.store tgt v);
-      op_lines = [ Printf.sprintf "@@%s %s ..." name (if is_input then "+=" else "=") ];
-      op_total = 1;
-      op_compiled = 1 }
+    leaf_op (Printf.sprintf "@@%s %s ..." name (if is_input then "+=" else "=")) (fun env ->
+        let v = ce env in
+        if is_input then Accum.Store.input_now env.ctx.E.store tgt v
+        else Accum.Store.assign_now env.ctx.E.store tgt v)
   | Ast.S_let (x, e) ->
     let ce = compile_expr (gscope schema) e in
-    let exec =
-      match e with
-      | Ast.E_var y ->
-        fun env ->
-          if Hashtbl.mem env.ctx.E.vars y then
-            Hashtbl.replace env.ctx.E.vars x (Hashtbl.find env.ctx.E.vars y)
-          else Hashtbl.replace env.ctx.E.vars x (E.R_scalar (ce env))
-      | _ -> fun env -> Hashtbl.replace env.ctx.E.vars x (E.R_scalar (ce env))
-    in
-    { op_exec = (fun env -> Interrupt.tick (); exec env);
-      op_lines = [ "let " ^ x ];
-      op_total = 1;
-      op_compiled = 1 }
+    leaf_op ("let " ^ x) (fun env ->
+        Hashtbl.replace env.ctx.E.vars x (E.binding_of env.ctx e (fun () -> ce env)))
   | Ast.S_while (cond, limit, body) ->
     let ccond = compile_bool (gscope schema) cond in
     let climit = Option.map (compile_expr (gscope schema)) limit in
@@ -1623,8 +1599,7 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
               done;
               Obs.Trace.set_attr "iterations" (Obs.Json.Int !i)));
       op_lines = ("while " ^ Ast.expr_to_string cond) :: child_lines cbody;
-      op_total = 1 + sum_total cbody;
-      op_compiled = 1 + sum_compiled cbody }
+      op_total = 1 + sum_total cbody }
   | Ast.S_if (cond, th, el) ->
     let ccond = compile_bool (gscope schema) cond in
     let cth = List.map (compile_stmt schema) th in
@@ -1636,61 +1611,27 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
       op_lines =
         (("if " ^ Ast.expr_to_string cond) :: child_lines cth)
         @ (if cel = [] then [] else "else" :: child_lines cel);
-      op_total = 1 + sum_total cth + sum_total cel;
-      op_compiled = 1 + sum_compiled cth + sum_compiled cel }
+      op_total = 1 + sum_total cth + sum_total cel }
   | Ast.S_foreach (x, e, body) ->
     let ce = compile_expr (gscope schema) e in
     let cbody = List.map (compile_stmt schema) body in
     { op_exec =
         (fun env ->
           Interrupt.tick ();
-          let ctx = env.ctx in
-          let of_value = function
-            | V.Vlist l -> l
-            | V.Vtuple a -> Array.to_list a
-            | v -> [ v ]
-          in
-          let items =
-            match e with
-            | Ast.E_var y ->
-              (match Hashtbl.find_opt ctx.E.vars y with
-               | Some (E.R_vset vs) ->
-                 Array.to_list (Array.map (fun v -> V.Vertex v) vs)
-               | _ -> of_value (ce env))
-            | _ -> of_value (ce env)
-          in
           List.iter
             (fun item ->
-              Hashtbl.replace ctx.E.vars x (E.R_scalar item);
+              Hashtbl.replace env.ctx.E.vars x (E.R_scalar item);
               List.iter (fun o -> o.op_exec env) cbody)
-            items);
+            (E.foreach_items env.ctx e (fun () -> ce env)));
       op_lines =
         (Printf.sprintf "foreach %s in %s" x (Ast.expr_to_string e))
         :: child_lines cbody;
-      op_total = 1 + sum_total cbody;
-      op_compiled = 1 + sum_compiled cbody }
+      op_total = 1 + sum_total cbody }
   | Ast.S_return e ->
     let ce = compile_expr (gscope schema) e in
-    let exec =
-      match e with
-      | Ast.E_var name ->
-        fun env ->
-          let rv =
-            if Hashtbl.mem env.ctx.E.vars name then
-              Hashtbl.find env.ctx.E.vars name
-            else E.R_scalar (ce env)
-          in
-          env.ctx.E.returned <- Some rv;
-          raise E.Returned
-      | _ ->
-        fun env ->
-          env.ctx.E.returned <- Some (E.R_scalar (ce env));
-          raise E.Returned
-    in
-    { op_exec = (fun env -> Interrupt.tick (); exec env);
-      op_lines = [ "return " ^ Ast.expr_to_string e ];
-      op_total = 1;
-      op_compiled = 1 }
+    leaf_op ("return " ^ Ast.expr_to_string e) (fun env ->
+        env.ctx.E.returned <- Some (E.binding_of env.ctx e (fun () -> ce env));
+        raise E.Returned)
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)
@@ -1701,22 +1642,17 @@ type plan = {
   p_ops : op list;
   p_compile_ms : float;
   p_total : int;
-  p_compiled : int;
   p_describe : string;
 }
 
 let finish_plan query primed ops t0 =
-  let total = sum_total ops and compiled = sum_compiled ops in
-  let header =
-    Printf.sprintf "plan: %d ops (%d compiled, %d interpreted)" total compiled
-      (total - compiled)
-  in
+  let total = sum_total ops in
+  let header = Printf.sprintf "plan: %d ops" total in
   { p_query = query;
     p_primed = primed;
     p_ops = ops;
     p_compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
     p_total = total;
-    p_compiled = compiled;
     p_describe =
       String.concat "\n" (header :: List.concat_map (fun o -> indent o.op_lines) ops) }
 
@@ -1755,6 +1691,7 @@ let run plan ?semantics ~params graph =
       locals = [||];
       probe = -1;
       combo = [||];
+      group = [];
       overlay = None }
   in
   (try List.iter (fun op -> op.op_exec env) plan.p_ops with
@@ -1762,7 +1699,19 @@ let run plan ?semantics ~params graph =
    | V.Type_error msg -> E.error "type error: %s" msg);
   E.finish ctx
 
+(* Parameters are checked before compilation, as the interpreter checks
+   them before analysis, so both raise the same first error. *)
+let run_source graph ?semantics ?(params = []) src =
+  let schema = G.schema graph in
+  let plan =
+    match Parser.parse_query src with
+    | q ->
+      E.check_params q params;
+      compile ~schema q
+    | exception Parser.Error _ -> compile_block ~schema (Parser.parse_block src)
+  in
+  run plan ?semantics ~params graph
+
 let compile_ms plan = plan.p_compile_ms
 let plan_ops plan = plan.p_total
-let compiled_ops plan = plan.p_compiled
 let describe plan = plan.p_describe

@@ -9,15 +9,11 @@
     the schema at compile time when one is supplied), binding tables
     unboxed over flat [int] arrays, and {!Interrupt} ticks emitted as
     generated checkpoints at the same program points the interpreter
-    checks.
+    checks.  Every statement form is lowered, GROUP BY, PRINT and INSERT
+    included: compiled plans are the only executor.
 
-    Constructs off the hot path — [PRINT], [INSERT], and [GROUP BY]
-    SELECTs — stay interpreted: the plan calls {!Eval.exec_stmt} on the
-    shared execution context for them, so compiled and interpreted
-    fragments compose within one run.
-
-    The interpreter remains the differential-testing oracle: for every
-    query, [run (compile q) g ~params] must produce a result identical to
+    The interpreter is the differential-testing oracle: for every query,
+    [run (compile q) g ~params] must produce a result identical to
     [Eval.run_query g ~params q] — same tables in the same row order, same
     vertex sets, same PRINT output, same accumulator commits, and the same
     governor cancellation behavior under an {!Interrupt} budget.  See
@@ -28,9 +24,9 @@ type plan
 val compile : ?schema:Pgraph.Schema.t -> Ast.query -> plan
 (** Analyzes ({!Analyze.check_query}) and lowers the query.  Raises
     {!Eval.Runtime_error} when analysis fails.  When [schema] is given,
-    single-step segment symbols are resolved statically; plans still run
-    correctly against graphs with a different schema (symbols are then
-    resolved per execution). *)
+    single-step segment symbols and attribute slots are resolved
+    statically; plans still run correctly against graphs with a different
+    schema (they are then resolved per execution). *)
 
 val compile_block : ?schema:Pgraph.Schema.t -> Ast.stmt list -> plan
 (** Lowers a bare statement block ("interpreted query" sources). *)
@@ -41,15 +37,19 @@ val run :
 (** Executes the plan.  Parameter checking, semantics resolution and error
     wrapping match {!Eval.run_query} exactly. *)
 
+val run_source :
+  Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
+  ?params:(string * Pgraph.Value.t) list -> string -> Eval.result
+(** Parses a single [CREATE QUERY] definition (or, failing that, a bare
+    statement block), compiles it against the graph's schema and runs it.
+    Raises what {!Eval.run_source} raises on the same input. *)
+
 val compile_ms : plan -> float
 (** Wall-clock milliseconds spent lowering (the install-time cost). *)
 
 val plan_ops : plan -> int
 (** Total statement operations in the plan, nested ones included. *)
 
-val compiled_ops : plan -> int
-(** Operations lowered to closures (the rest run via {!Eval.exec_stmt}). *)
-
 val describe : plan -> string
 (** Deterministic plan-shape rendering (op tree, per-SELECT kernel
-    summary, compiled/interpreted marking) — the [EXPLAIN] section. *)
+    summary) — the [EXPLAIN] section. *)

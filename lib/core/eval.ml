@@ -70,7 +70,7 @@ type env = {
   e_ctx : ctx;
   e_lookup : string -> V.t option;
   e_overlay : overlay option;
-  e_agg : (string -> Ast.expr list -> V.t) option;
+  e_agg : (string -> Ast.expr -> V.t) option;
       (* aggregate-call hook, set only when evaluating GROUP BY groups *)
 }
 
@@ -253,7 +253,7 @@ let rec eval_expr env (e : Ast.expr) : V.t =
   | Ast.E_unop (Ast.Not, a) -> V.Bool (not (V.to_bool (eval_expr env a)))
   | Ast.E_call (name, args) ->
     (match env.e_agg with
-     | Some hook when is_aggregate_name name && List.length args = 1 -> hook name args
+     | Some hook when is_aggregate_name name && List.length args = 1 -> hook name (List.hd args)
      | _ -> apply_builtin (builtin name (List.length args)) (List.map (eval_expr env) args))
   | Ast.E_method (base, meth, args) -> eval_method env base meth (List.map (eval_expr env) args)
   | Ast.E_tuple es -> V.Vtuple (Array.of_list (List.map (eval_expr env) es))
@@ -689,46 +689,36 @@ let rec exec_acc_stmt ctx phase env locals overlay mult (s : Ast.acc_stmt) =
      | _ -> error "unbound variable %s in attribute assignment" alias)
 
 let exec_accum ctx (bt : binding_table) stmts =
-  if stmts <> [] then
-    (* The span captures the full map+reduce: acc-executions buffer, then
-       Store.commit reports merge/assign counts into this span. *)
-    Obs.Trace.span "accum" (fun () ->
-        if Obs.Trace.enabled () then
-          Obs.Trace.set_attr "rows" (Obs.Json.Int (List.length bt.rows));
-        let phase = Accum.Store.begin_phase ctx.store in
-        List.iter
-          (fun r ->
-            Interrupt.tick ();
-            let locals = Hashtbl.create 8 in
-            let overlay = overlay_create () in
-            let env = row_env ctx bt r locals overlay in
-            List.iter (exec_acc_stmt ctx phase env locals overlay r.mult) stmts)
-          bt.rows;
-        Accum.Store.commit ctx.store phase)
+  if stmts <> [] then begin
+    let phase = Accum.Store.begin_phase ctx.store in
+    List.iter
+      (fun r ->
+        Interrupt.tick ();
+        let locals = Hashtbl.create 8 in
+        let overlay = overlay_create () in
+        let env = row_env ctx bt r locals overlay in
+        List.iter (exec_acc_stmt ctx phase env locals overlay r.mult) stmts)
+      bt.rows;
+    Accum.Store.commit ctx.store phase
+  end
 
 (* POST_ACCUM: one execution per distinct vertex of the statement's alias
    (statements referencing no vertex alias run once).  Consecutive
    statements over the same alias share one execution so that overlaid
    assignments stay visible (the PageRank idiom). *)
-let post_accum_alias stmt =
-  match Analyze.(post_accum_aliases stmt) with
-  | [] -> None
-  | a :: _ -> Some a
+let post_accum_groups stmts =
+  List.fold_left
+    (fun acc stmt ->
+      let a = match Analyze.post_accum_aliases stmt with [] -> None | a :: _ -> Some a in
+      match acc with
+      | (a', stmts') :: rest when a' = a -> (a', stmt :: stmts') :: rest
+      | _ -> (a, [ stmt ]) :: acc)
+    [] stmts
+  |> List.rev_map (fun (a, ss) -> (a, List.rev ss))
+  |> List.rev
 
-let exec_post_accum_inner ctx (bt : binding_table) stmts =
+let exec_post_accum ctx (bt : binding_table) stmts =
   begin
-    (* Group consecutive statements by alias. *)
-    let groups =
-      List.fold_left
-        (fun acc stmt ->
-          let a = post_accum_alias stmt in
-          match acc with
-          | (a', stmts') :: rest when a' = a -> (a', stmt :: stmts') :: rest
-          | _ -> (a, [ stmt ]) :: acc)
-        [] stmts
-      |> List.rev_map (fun (a, ss) -> (a, List.rev ss))
-      |> List.rev
-    in
     List.iter
       (fun (alias, group) ->
         let phase = Accum.Store.begin_phase ctx.store in
@@ -760,27 +750,24 @@ let exec_post_accum_inner ctx (bt : binding_table) stmts =
                end)
              bt.rows);
         Accum.Store.commit ctx.store phase)
-      groups
+      (post_accum_groups stmts)
   end
-
-let exec_post_accum ctx (bt : binding_table) stmts =
-  if stmts <> [] then
-    Obs.Trace.span "post_accum" (fun () -> exec_post_accum_inner ctx bt stmts)
 
 (* ------------------------------------------------------------------ *)
 (* SELECT projection                                                   *)
 
 
-let rec expr_aliases (bt : binding_table) (e : Ast.expr) : string list =
+(* The pattern aliases, vertex or edge, an output expression mentions. *)
+let rec expr_aliases va ea (e : Ast.expr) : string list =
   match e with
   | Ast.E_var v | Ast.E_attr (v, _) | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _) ->
-    if alias_slot bt.v_aliases v >= 0 || alias_slot bt.e_aliases v >= 0 then [ v ] else []
-  | Ast.E_binop (_, a, b) -> expr_aliases bt a @ expr_aliases bt b
-  | Ast.E_unop (_, a) -> expr_aliases bt a
-  | Ast.E_call (_, args) -> List.concat_map (expr_aliases bt) args
-  | Ast.E_method (base, _, args) -> expr_aliases bt base @ List.concat_map (expr_aliases bt) args
-  | Ast.E_tuple es -> List.concat_map (expr_aliases bt) es
-  | Ast.E_arrow (ks, vs) -> List.concat_map (expr_aliases bt) (ks @ vs)
+    if alias_slot va v >= 0 || alias_slot ea v >= 0 then [ v ] else []
+  | Ast.E_binop (_, a, b) -> expr_aliases va ea a @ expr_aliases va ea b
+  | Ast.E_unop (_, a) -> expr_aliases va ea a
+  | Ast.E_call (_, args) | Ast.E_tuple args -> List.concat_map (expr_aliases va ea) args
+  | Ast.E_method (base, _, args) ->
+    expr_aliases va ea base @ List.concat_map (expr_aliases va ea) args
+  | Ast.E_arrow (ks, vs) -> List.concat_map (expr_aliases va ea) (ks @ vs)
   | Ast.E_int _ | Ast.E_float _ | Ast.E_string _ | Ast.E_bool _ | Ast.E_null | Ast.E_gacc _
   | Ast.E_gacc_prev _ -> []
 
@@ -788,6 +775,12 @@ let column_name (e, alias) =
   match alias with
   | Some a -> a
   | None -> Ast.expr_to_string e
+
+(* Binds one SELECT output table under its INTO name. *)
+let bind_output ctx (o : Ast.output_spec) table =
+  let table = if o.Ast.o_distinct then Table.distinct table else table in
+  ctx.tables <- (o.Ast.o_into, table) :: ctx.tables;
+  Hashtbl.replace ctx.vars o.Ast.o_into (R_table table)
 
 (* Distinct alias combinations appearing in the binding table, projected on
    the given alias list. *)
@@ -824,9 +817,17 @@ let distinct_combos (bt : binding_table) (aliases : string list) =
 
 let sort_uniq_str l = List.sort_uniq compare l
 
-let apply_order_limit ctx bt rows_with_env order_by limit =
+(* ORDER BY: compares two rows' key lists, each key a (value, DESC) pair. *)
+let rec compare_keys ka kb =
+  match ka, kb with
+  | (va, desc) :: ra, (vb, _) :: rb ->
+    let c = V.compare va vb in
+    let c = if desc then -c else c in
+    if c <> 0 then c else compare_keys ra rb
+  | _ -> 0
+
+let apply_order_limit ctx rows_with_env order_by limit =
   (* rows_with_env : (Value.t array * (string * V.t) list) list *)
-  ignore bt;
   let rows =
     match order_by with
     | [] -> rows_with_env
@@ -836,22 +837,10 @@ let apply_order_limit ctx bt rows_with_env order_by limit =
           (fun (row, bindings) ->
             let env = env_with ctx bindings in
             let ks = List.map (fun (e, desc) -> (eval_expr env e, desc)) keys in
-            (ks, row, bindings))
+            (ks, (row, bindings)))
           rows_with_env
       in
-      let cmp (ka, _, _) (kb, _, _) =
-        let rec go a b =
-          match a, b with
-          | [], [] -> 0
-          | (va, desc) :: ra, (vb, _) :: rb ->
-            let c = V.compare va vb in
-            let c = if desc then -c else c in
-            if c <> 0 then c else go ra rb
-          | _ -> 0
-        in
-        go ka kb
-      in
-      List.map (fun (_, row, bindings) -> (row, bindings)) (List.stable_sort cmp with_keys)
+      List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> compare_keys ka kb) with_keys)
   in
   match limit with
   | None -> rows
@@ -869,72 +858,78 @@ module VH = Hashtbl.Make (struct
   let hash = V.hash
 end)
 
+(* Partitions [items] by [key], groups in first-appearance order, members
+   in input order. *)
+let group_by_key (key : 'a -> V.t) (items : 'a list) : 'a list list =
+  let groups = VH.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun x ->
+      let k = key x in
+      match VH.find_opt groups k with
+      | Some members -> members := x :: !members
+      | None ->
+        VH.add groups k (ref [ x ]);
+        order := k :: !order)
+    items;
+  List.rev_map (fun k -> List.rev !(VH.find groups k)) !order
+
+(* SQL aggregates over a group's member rows, each weighted by its path
+   multiplicity µ (bag semantics, §6).  [count( * )] counts every row;
+   every other form skips the rows whose argument is NULL, and [sum],
+   [avg], [min] and [max] return NULL when no value is left.  [value m]
+   evaluates the argument on member [m]. *)
+let aggregate name (arg : Ast.expr) ~(mult : 'm -> B.t) ~(value : 'm -> V.t)
+    (members : 'm list) =
+  let count mus =
+    let total = List.fold_left B.add B.zero mus in
+    match B.to_int_opt total with Some n -> V.Int n | None -> V.Float (B.to_float total)
+  in
+  let present () =
+    List.filter_map (fun m -> match value m with V.Null -> None | v -> Some (mult m, v)) members
+  in
+  match String.lowercase_ascii name with
+  | "count" when arg = Ast.E_var "*" -> count (List.map mult members)
+  | "count" -> count (List.map fst (present ()))
+  | ("sum" | "avg") as f ->
+    (match present () with
+     | [] -> V.Null
+     | vs ->
+       let s, n =
+         List.fold_left
+           (fun (s, n) (mu, v) ->
+             let mu = B.to_float mu in
+             (s +. (mu *. V.to_float v), n +. mu))
+           (0.0, 0.0) vs
+       in
+       V.Float (if f = "sum" then s else s /. n))
+  | ("min" | "max") as f ->
+    (* Ties keep the first minimum and the last maximum. *)
+    let better v b = if f = "min" then V.compare v b < 0 else V.compare v b >= 0 in
+    List.fold_left
+      (fun best (_, v) -> match best with V.Null -> v | b -> if better v b then v else b)
+      V.Null (present ())
+  | other -> error "unknown aggregate %s" other
+
 (* Environment for one group: leaf lookups resolve against a representative
    member row (sound for expressions functionally dependent on the group
-   key, as SQL requires); aggregate calls fold over all member rows with
-   their path multiplicities (bag semantics, §6). *)
+   key, as SQL requires); aggregate calls fold over all member rows. *)
 let grouped_env ctx (members : (row * env) list) =
   let rep_env = match members with (_, env) :: _ -> env | [] -> plain_env ctx in
-  let one_arg name args =
-    match args with
-    | [ a ] -> a
-    | _ -> error "aggregate %s expects one argument" name
-  in
-  let hook name args =
-    match String.lowercase_ascii name with
-    | "count" ->
-      let total = List.fold_left (fun acc (r, _) -> B.add acc r.mult) B.zero members in
-      (match B.to_int_opt total with
-       | Some n -> V.Int n
-       | None -> V.Float (B.to_float total))
-    | "sum" ->
-      let arg = one_arg name args in
-      V.Float
-        (List.fold_left
-           (fun acc (r, env) -> acc +. (B.to_float r.mult *. V.to_float (eval_expr env arg)))
-           0.0 members)
-    | "avg" ->
-      let arg = one_arg name args in
-      let s, n =
-        List.fold_left
-          (fun (s, n) (r, env) ->
-            let mu = B.to_float r.mult in
-            (s +. (mu *. V.to_float (eval_expr env arg)), n +. mu))
-          (0.0, 0.0) members
-      in
-      if n = 0.0 then V.Null else V.Float (s /. n)
-    | ("min" | "max") as f ->
-      let arg = one_arg name args in
-      List.fold_left
-        (fun best (_, env) ->
-          let v = eval_expr env arg in
-          match best with
-          | V.Null -> v
-          | b ->
-            let smaller = V.compare v b < 0 in
-            if (f = "min") = smaller then v else b)
-        V.Null members
-    | other -> error "unknown aggregate %s" other
+  let hook name arg =
+    aggregate name arg ~mult:(fun (r, _) -> r.mult) ~value:(fun (_, env) -> eval_expr env arg)
+      members
   in
   { rep_env with e_agg = Some hook }
 
 let eval_grouped_outputs ctx (bt : binding_table) (b : Ast.select_block)
     (outputs : Ast.output_spec list) =
   (* Partition the (filtered) binding table by the GROUP BY key. *)
-  let groups : (row * env) list ref VH.t = VH.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun r ->
-      let env = row_env ctx bt r (Hashtbl.create 1) (overlay_create ()) in
-      let key = V.Vtuple (Array.of_list (List.map (eval_expr env) b.Ast.s_group_by)) in
-      match VH.find_opt groups key with
-      | Some members -> members := (r, env) :: !members
-      | None ->
-        VH.add groups key (ref [ (r, env) ]);
-        order := key :: !order)
-    bt.rows;
+  let key (_, env) = V.Vtuple (Array.of_list (List.map (eval_expr env) b.Ast.s_group_by)) in
   let group_envs =
-    List.rev_map (fun key -> grouped_env ctx (List.rev !(VH.find groups key))) !order
+    List.map (fun r -> (r, row_env ctx bt r (Hashtbl.create 1) (overlay_create ()))) bt.rows
+    |> group_by_key key
+    |> List.map (grouped_env ctx)
   in
   (* HAVING filters groups (aggregates allowed). *)
   let group_envs =
@@ -950,18 +945,7 @@ let eval_grouped_outputs ctx (bt : binding_table) (b : Ast.select_block)
       let with_keys =
         List.map (fun env -> (List.map (fun (e, desc) -> (eval_expr env e, desc)) keys, env)) group_envs
       in
-      let cmp (ka, _) (kb, _) =
-        let rec go a b =
-          match a, b with
-          | (va, desc) :: ra, (vb, _) :: rb ->
-            let c = V.compare va vb in
-            let c = if desc then -c else c in
-            if c <> 0 then c else go ra rb
-          | _ -> 0
-        in
-        go ka kb
-      in
-      List.map snd (List.stable_sort cmp with_keys)
+      List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> compare_keys ka kb) with_keys)
   in
   let group_envs =
     match b.Ast.s_limit with
@@ -977,19 +961,14 @@ let eval_grouped_outputs ctx (bt : binding_table) (b : Ast.select_block)
           (fun env -> Array.of_list (List.map (fun (e, _) -> eval_expr env e) o.Ast.o_exprs))
           group_envs
       in
-      let table = Table.create (List.map column_name o.Ast.o_exprs) rows in
-      let table = if o.Ast.o_distinct then Table.distinct table else table in
-      ctx.tables <- (o.Ast.o_into, table) :: ctx.tables;
-      Hashtbl.replace ctx.vars o.Ast.o_into (R_table table))
+      bind_output ctx o (Table.create (List.map column_name o.Ast.o_exprs) rows))
     outputs
 
-let eval_select_inner ctx (binding : string option) (b : Ast.select_block) =
-  let tracing = Obs.Trace.enabled () in
+let eval_select ctx (binding : string option) (b : Ast.select_block) =
   (* Save primed snapshots before the block touches anything. *)
   if ctx.primed <> [] then Accum.Store.save_prev ctx.store ctx.primed;
   let alias_pred, residual = split_where ctx b.Ast.s_from b.Ast.s_where in
-  let bt = Obs.Trace.span "match" (fun () -> build_binding_table ctx ~alias_pred b.Ast.s_from) in
-  if tracing then Obs.Trace.set_attr "rows" (Obs.Json.Int (List.length bt.rows));
+  let bt = build_binding_table ctx ~alias_pred b.Ast.s_from in
   (* Residual WHERE conjuncts (multi-alias or edge-touching). *)
   (match residual with
    | None -> ()
@@ -999,9 +978,7 @@ let eval_select_inner ctx (binding : string option) (b : Ast.select_block) =
          (fun r ->
            let env = row_env ctx bt r (Hashtbl.create 1) (overlay_create ()) in
            V.to_bool (eval_expr env cond))
-         bt.rows;
-     if tracing then
-       Obs.Trace.set_attr "rows_after_where" (Obs.Json.Int (List.length bt.rows)));
+         bt.rows);
   (* ACCUM, then POST_ACCUM (each commits its phase). *)
   exec_accum ctx bt b.Ast.s_accum;
   exec_post_accum ctx bt b.Ast.s_post_accum;
@@ -1027,9 +1004,8 @@ let eval_select_inner ctx (binding : string option) (b : Ast.select_block) =
      let rows_with_env =
        List.map (fun v -> ([| V.Vertex v |], [ (alias, V.Vertex v) ])) (Array.to_list vids)
      in
-     let rows = apply_order_limit ctx bt rows_with_env b.Ast.s_order_by b.Ast.s_limit in
+     let rows = apply_order_limit ctx rows_with_env b.Ast.s_order_by b.Ast.s_limit in
      let vids = Array.of_list (List.map (fun (row, _) -> V.vertex_id row.(0)) rows) in
-     if tracing then Obs.Trace.set_attr "out_vertices" (Obs.Json.Int (Array.length vids));
      let bind name = Hashtbl.replace ctx.vars name (R_vset vids) in
      Option.iter bind binding;
      Option.iter bind into
@@ -1038,7 +1014,10 @@ let eval_select_inner ctx (binding : string option) (b : Ast.select_block) =
    | Ast.Sel_outputs outputs ->
      List.iter
        (fun (o : Ast.output_spec) ->
-         let aliases = sort_uniq_str (List.concat_map (fun (e, _) -> expr_aliases bt e) o.Ast.o_exprs) in
+         let aliases =
+           sort_uniq_str
+             (List.concat_map (fun (e, _) -> expr_aliases bt.v_aliases bt.e_aliases e) o.Ast.o_exprs)
+         in
          let combos =
            if aliases = [] then [ [] ]  (* pure-global output: one row *)
            else distinct_combos bt aliases
@@ -1061,34 +1040,14 @@ let eval_select_inner ctx (binding : string option) (b : Ast.select_block) =
          let applicable_order =
            List.filter
              (fun (key, _) ->
-               List.for_all (fun a -> List.mem a aliases) (expr_aliases bt key))
+               List.for_all (fun a -> List.mem a aliases)
+                 (expr_aliases bt.v_aliases bt.e_aliases key))
              b.Ast.s_order_by
          in
-         let rows_with_env = apply_order_limit ctx bt rows_with_env applicable_order b.Ast.s_limit in
-         let cols = List.map column_name o.Ast.o_exprs in
-         let table = Table.create cols (List.map fst rows_with_env) in
-         let table = if o.Ast.o_distinct then Table.distinct table else table in
-         ctx.tables <- (o.Ast.o_into, table) :: ctx.tables;
-         Hashtbl.replace ctx.vars o.Ast.o_into (R_table table))
+         let rows_with_env = apply_order_limit ctx rows_with_env applicable_order b.Ast.s_limit in
+         bind_output ctx o
+           (Table.create (List.map column_name o.Ast.o_exprs) (List.map fst rows_with_env)))
        outputs)
-
-(* Telemetry wrapper: one "select" span per execution, stamped with the
-   block's FROM signature so EXPLAIN ANALYZE can fold executions (e.g. the
-   iterations of a WHILE loop) back onto the static plan. *)
-let m_selects = Obs.Metrics.counter "eval.select_blocks"
-let h_select_ms = Obs.Metrics.histogram "eval.select_ms"
-
-let eval_select ctx (binding : string option) (b : Ast.select_block) =
-  Obs.Metrics.incr m_selects 1;
-  Obs.Metrics.time h_select_ms (fun () ->
-      if not (Obs.Trace.enabled ()) then eval_select_inner ctx binding b
-      else
-        Obs.Trace.span "select" (fun () ->
-            Obs.Trace.set_attr "block" (Obs.Json.Str (Ast.select_signature b));
-            (match binding with
-             | Some x -> Obs.Trace.set_attr "binds" (Obs.Json.Str x)
-             | None -> ());
-            eval_select_inner ctx binding b))
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -1105,76 +1064,128 @@ let resolve_set_types ctx types =
            | None -> error "unknown vertex type %s" ty)
          types)
 
+(* Vertex-set assignment: [X = {T.*}], [X = Y], [X = A UNION B] ... *)
+let set_assign ctx x (src : Ast.set_source) =
+  let set_operand name =
+    match Hashtbl.find_opt ctx.vars name with
+    | Some (R_vset vs) -> vs
+    | Some _ -> error "%s is not a vertex set" name
+    | None ->
+      (* A vertex-type name also denotes its full extent. *)
+      (match Pgraph.Schema.find_vertex_type (G.schema ctx.graph) name with
+       | Some vt -> G.vertices_of_type ctx.graph vt.Pgraph.Schema.vt_id
+       | None -> error "unbound set variable %s" name)
+  in
+  let value =
+    match src with
+    | Ast.Set_types types -> R_vset (resolve_set_types ctx types)
+    | Ast.Set_copy y ->
+      (match Hashtbl.find_opt ctx.vars y with
+       | Some rv -> rv
+       | None -> error "unbound set variable %s" y)
+    | Ast.Set_op (op, a, b) ->
+      let va = set_operand a and vb = set_operand b in
+      let in_b = Hashtbl.create (Array.length vb) in
+      Array.iter (fun v -> Hashtbl.replace in_b v ()) vb;
+      R_vset
+        (match op with
+         | Ast.Op_union -> distinct_ints (Array.append va vb)
+         | Ast.Op_intersect -> Array.of_list (List.filter (Hashtbl.mem in_b) (Array.to_list va))
+         | Ast.Op_minus ->
+           Array.of_list (List.filter (fun v -> not (Hashtbl.mem in_b v)) (Array.to_list va)))
+  in
+  Hashtbl.replace ctx.vars x value
+
+(* PRINT output, one item at a time. *)
+let print_value ctx label v =
+  Buffer.add_string ctx.print_buf (Printf.sprintf "%s = %s\n" label (V.to_string v))
+
+let print_binding ctx label = function
+  | R_vset vs ->
+    Buffer.add_string ctx.print_buf
+      (Printf.sprintf "%s = {%s}\n" label
+         (String.concat ", " (List.map (fun v -> V.to_string (V.Vertex v)) (Array.to_list vs))))
+  | R_table t -> Buffer.add_string ctx.print_buf (Printf.sprintf "%s =\n%s" label (Table.to_string t))
+  | R_scalar v -> print_value ctx label v
+
+let projected_set ctx setname =
+  match Hashtbl.find_opt ctx.vars setname with
+  | Some (R_vset vs) -> vs
+  | _ -> error "PRINT %s[...]: %s is not a vertex set" setname setname
+
+(* [PRINT S[e1, ...]]: [rows] holds the projection of each member of S. *)
+let print_projection ctx setname exprs rows =
+  let t = Table.create (List.map Ast.expr_to_string exprs) rows in
+  ctx.tables <- (setname, t) :: ctx.tables;
+  Buffer.add_string ctx.print_buf (Table.to_string t)
+
+(* INSERT INTO ty (attrs) VALUES (values): a vertex, or an edge whose first
+   two values are its endpoints. *)
+let insert ctx ty attrs values =
+  let schema = G.schema ctx.graph in
+  match Pgraph.Schema.find_vertex_type schema ty, Pgraph.Schema.find_edge_type schema ty with
+  | Some _, _ ->
+    if List.length attrs <> List.length values then
+      error "INSERT INTO %s: %d attributes but %d values" ty (List.length attrs)
+        (List.length values);
+    (try ignore (G.add_vertex ctx.graph ty (List.combine attrs values))
+     with Invalid_argument msg -> error "INSERT: %s" msg)
+  | None, Some _ ->
+    (match values with
+     | src :: dst :: attr_values ->
+       if List.length attrs <> List.length attr_values then
+         error "INSERT INTO %s: %d attributes but %d attribute values" ty (List.length attrs)
+           (List.length attr_values);
+       let src = V.vertex_id src and dst = V.vertex_id dst in
+       (try ignore (G.add_edge ctx.graph ty src dst (List.combine attrs attr_values))
+        with Invalid_argument msg -> error "INSERT: %s" msg)
+     | _ -> error "INSERT INTO %s (edge type): VALUES needs source and target vertices" ty)
+  | None, None -> error "INSERT INTO %s: unknown type" ty
+
+(* An accumulator declaration, each accumulator starting from [init]. *)
+let declare ctx (d : Ast.acc_decl) init =
+  List.iter
+    (fun (is_global, name) ->
+      if is_global then begin
+        Accum.Store.declare_global ctx.store name d.Ast.d_spec;
+        Option.iter (fun v -> Accum.Store.assign_now ctx.store (Accum.Store.Global name) v) init
+      end
+      else begin
+        Accum.Store.declare_vertex ctx.store name d.Ast.d_spec ~n_vertices:(G.n_vertices ctx.graph);
+        Option.iter (Accum.Store.set_vertex_init ctx.store name) init
+      end)
+    d.Ast.d_names
+
+(* What [X = e] and [RETURN e] bind: a variable keeps its kind (vertex
+   set, table), anything else is the scalar [eval ()]. *)
+let binding_of ctx (e : Ast.expr) eval =
+  match e with
+  | Ast.E_var y when Hashtbl.mem ctx.vars y -> Hashtbl.find ctx.vars y
+  | _ -> R_scalar (eval ())
+
+(* What FOREACH iterates: a vertex set's members, a list's or tuple's
+   elements, else the single value [eval ()]. *)
+let foreach_items ctx (e : Ast.expr) eval =
+  let var = match e with Ast.E_var y -> Hashtbl.find_opt ctx.vars y | _ -> None in
+  match var with
+  | Some (R_vset vs) -> Array.to_list (Array.map (fun v -> V.Vertex v) vs)
+  | _ -> (match eval () with V.Vlist l -> l | V.Vtuple a -> Array.to_list a | v -> [ v ])
+
 let rec exec_stmt ctx (s : Ast.stmt) =
   (* Governor checkpoint: one tick per statement covers WHILE/FOREACH
      iterations (each body statement re-enters here), so a pure spin loop
      cannot outrun its budget. *)
   Interrupt.tick ();
   match s with
-  | Ast.S_acc_decl d ->
-    let init =
-      match d.Ast.d_init with None -> None | Some e -> Some (eval_expr (plain_env ctx) e)
-    in
-    List.iter
-      (fun (is_global, name) ->
-        if is_global then begin
-          Accum.Store.declare_global ctx.store name d.Ast.d_spec;
-          Option.iter (fun v -> Accum.Store.assign_now ctx.store (Accum.Store.Global name) v) init
-        end
-        else begin
-          Accum.Store.declare_vertex ctx.store name d.Ast.d_spec
-            ~n_vertices:(G.n_vertices ctx.graph);
-          Option.iter (Accum.Store.set_vertex_init ctx.store name) init
-        end)
-      d.Ast.d_names
-  | Ast.S_set_assign (x, Ast.Set_types types) ->
-    Hashtbl.replace ctx.vars x (R_vset (resolve_set_types ctx types))
-  | Ast.S_set_assign (x, Ast.Set_copy y) ->
-    (match Hashtbl.find_opt ctx.vars y with
-     | Some rv -> Hashtbl.replace ctx.vars x rv
-     | None -> error "unbound set variable %s" y)
-  | Ast.S_set_assign (x, Ast.Set_op (op, a, b)) ->
-    let resolve name =
-      match Hashtbl.find_opt ctx.vars name with
-      | Some (R_vset vs) -> vs
-      | Some _ -> error "%s is not a vertex set" name
-      | None ->
-        (* A vertex-type name also denotes its full extent. *)
-        (match Pgraph.Schema.find_vertex_type (G.schema ctx.graph) name with
-         | Some vt -> G.vertices_of_type ctx.graph vt.Pgraph.Schema.vt_id
-         | None -> error "unbound set variable %s" name)
-    in
-    let va = resolve a and vb = resolve b in
-    let in_b = Hashtbl.create (Array.length vb) in
-    Array.iter (fun v -> Hashtbl.replace in_b v ()) vb;
-    let result =
-      match op with
-      | Ast.Op_union ->
-        let seen = Hashtbl.create (Array.length va + Array.length vb) in
-        let out = ref [] in
-        Array.iter
-          (fun v ->
-            if not (Hashtbl.mem seen v) then begin
-              Hashtbl.add seen v ();
-              out := v :: !out
-            end)
-          (Array.append va vb);
-        Array.of_list (List.rev !out)
-      | Ast.Op_intersect -> Array.of_list (List.filter (Hashtbl.mem in_b) (Array.to_list va))
-      | Ast.Op_minus ->
-        Array.of_list (List.filter (fun v -> not (Hashtbl.mem in_b v)) (Array.to_list va))
-    in
-    Hashtbl.replace ctx.vars x (R_vset result)
+  | Ast.S_acc_decl d -> declare ctx d (Option.map (eval_expr (plain_env ctx)) d.Ast.d_init)
+  | Ast.S_set_assign (x, src) -> set_assign ctx x src
   | Ast.S_select (binding, block) -> eval_select ctx binding block
   | Ast.S_gacc_assign (name, is_input, e) ->
     let v = eval_expr (plain_env ctx) e in
     if is_input then Accum.Store.input_now ctx.store (Accum.Store.Global name) v
     else Accum.Store.assign_now ctx.store (Accum.Store.Global name) v
   | Ast.S_let (x, e) ->
-    (* Copying a set/table variable preserves its kind. *)
-    (match e with
-     | Ast.E_var y when Hashtbl.mem ctx.vars y -> Hashtbl.replace ctx.vars x (Hashtbl.find ctx.vars y)
-     | _ -> Hashtbl.replace ctx.vars x (R_scalar (eval_expr (plain_env ctx) e)))
+    Hashtbl.replace ctx.vars x (binding_of ctx e (fun () -> eval_expr (plain_env ctx) e))
   | Ast.S_while (cond, limit, body) ->
     let max_iters =
       match limit with
@@ -1182,34 +1193,18 @@ let rec exec_stmt ctx (s : Ast.stmt) =
       | Some e -> V.to_int (eval_expr (plain_env ctx) e)
     in
     let i = ref 0 in
-    Obs.Trace.span "while" (fun () ->
-        while !i < max_iters && V.to_bool (eval_expr (plain_env ctx) cond) do
-          (* Ticked here too: a WHILE with an empty body never re-enters
-             exec_stmt, yet must still hit checkpoints. *)
-          Interrupt.tick ();
-          Obs.Trace.span "iter" (fun () ->
-              Obs.Trace.set_attr "i" (Obs.Json.Int !i);
-              List.iter (exec_stmt ctx) body);
-          incr i
-        done;
-        Obs.Trace.set_attr "iterations" (Obs.Json.Int !i))
+    while !i < max_iters && V.to_bool (eval_expr (plain_env ctx) cond) do
+      (* Ticked here too: a WHILE with an empty body never re-enters
+         exec_stmt, yet must still hit checkpoints. *)
+      Interrupt.tick ();
+      List.iter (exec_stmt ctx) body;
+      incr i
+    done
   | Ast.S_if (cond, th, el) ->
     if V.to_bool (eval_expr (plain_env ctx) cond) then List.iter (exec_stmt ctx) th
     else List.iter (exec_stmt ctx) el
   | Ast.S_foreach (x, e, body) ->
-    let of_value = function
-      | V.Vlist l -> l
-      | V.Vtuple a -> Array.to_list a
-      | v -> [ v ]
-    in
-    let items =
-      match e with
-      | Ast.E_var y ->
-        (match Hashtbl.find_opt ctx.vars y with
-         | Some (R_vset vs) -> Array.to_list (Array.map (fun v -> V.Vertex v) vs)
-         | _ -> of_value (eval_expr (plain_env ctx) e))
-      | _ -> of_value (eval_expr (plain_env ctx) e)
-    in
+    let items = foreach_items ctx e (fun () -> eval_expr (plain_env ctx) e) in
     List.iter
       (fun item ->
         Hashtbl.replace ctx.vars x (R_scalar item);
@@ -1217,72 +1212,27 @@ let rec exec_stmt ctx (s : Ast.stmt) =
       items
   | Ast.S_print items ->
     List.iter
-      (fun item ->
-        match item with
+      (function
         | Ast.P_expr (Ast.E_var name, alias) when Hashtbl.mem ctx.vars name ->
-          let label = Option.value alias ~default:name in
-          (match Hashtbl.find ctx.vars name with
-           | R_vset vs ->
-             Buffer.add_string ctx.print_buf
-               (Printf.sprintf "%s = {%s}\n" label
-                  (String.concat ", "
-                     (List.map
-                        (fun v -> V.to_string (V.Vertex v))
-                        (Array.to_list vs))))
-           | R_table t ->
-             Buffer.add_string ctx.print_buf (Printf.sprintf "%s =\n%s" label (Table.to_string t))
-           | R_scalar v ->
-             Buffer.add_string ctx.print_buf (Printf.sprintf "%s = %s\n" label (V.to_string v)))
+          print_binding ctx (Option.value alias ~default:name) (Hashtbl.find ctx.vars name)
         | Ast.P_expr (e, alias) ->
-          let v = eval_expr (plain_env ctx) e in
-          let label = Option.value alias ~default:(Ast.expr_to_string e) in
-          Buffer.add_string ctx.print_buf (Printf.sprintf "%s = %s\n" label (V.to_string v))
+          print_value ctx
+            (Option.value alias ~default:(Ast.expr_to_string e))
+            (eval_expr (plain_env ctx) e)
         | Ast.P_proj (setname, exprs) ->
-          let vs =
-            match Hashtbl.find_opt ctx.vars setname with
-            | Some (R_vset vs) -> vs
-            | _ -> error "PRINT %s[...]: %s is not a vertex set" setname setname
-          in
-          let cols = List.map (fun e -> Ast.expr_to_string e) exprs in
           let rows =
             List.map
               (fun v ->
                 let env = env_with ctx [ (setname, V.Vertex v) ] in
                 Array.of_list (List.map (eval_expr env) exprs))
-              (Array.to_list vs)
+              (Array.to_list (projected_set ctx setname))
           in
-          let t = Table.create cols rows in
-          ctx.tables <- (setname, t) :: ctx.tables;
-          Buffer.add_string ctx.print_buf (Table.to_string t))
+          print_projection ctx setname exprs rows)
       items
   | Ast.S_insert (ty, attrs, value_exprs) ->
-    let values = List.map (eval_expr (plain_env ctx)) value_exprs in
-    let schema = G.schema ctx.graph in
-    (match Pgraph.Schema.find_vertex_type schema ty, Pgraph.Schema.find_edge_type schema ty with
-     | Some _, _ ->
-       if List.length attrs <> List.length values then
-         error "INSERT INTO %s: %d attributes but %d values" ty (List.length attrs)
-           (List.length values);
-       (try ignore (G.add_vertex ctx.graph ty (List.combine attrs values))
-        with Invalid_argument msg -> error "INSERT: %s" msg)
-     | None, Some _ ->
-       (match values with
-        | src :: dst :: attr_values ->
-          if List.length attrs <> List.length attr_values then
-            error "INSERT INTO %s: %d attributes but %d attribute values" ty (List.length attrs)
-              (List.length attr_values);
-          let src = V.vertex_id src and dst = V.vertex_id dst in
-          (try ignore (G.add_edge ctx.graph ty src dst (List.combine attrs attr_values))
-           with Invalid_argument msg -> error "INSERT: %s" msg)
-        | _ -> error "INSERT INTO %s (edge type): VALUES needs source and target vertices" ty)
-     | None, None -> error "INSERT INTO %s: unknown type" ty)
+    insert ctx ty attrs (List.map (eval_expr (plain_env ctx)) value_exprs)
   | Ast.S_return e ->
-    let rv =
-      match e with
-      | Ast.E_var name when Hashtbl.mem ctx.vars name -> Hashtbl.find ctx.vars name
-      | _ -> R_scalar (eval_expr (plain_env ctx) e)
-    in
-    ctx.returned <- Some rv;
+    ctx.returned <- Some (binding_of ctx e (fun () -> eval_expr (plain_env ctx) e));
     raise Returned
 
 (* ------------------------------------------------------------------ *)

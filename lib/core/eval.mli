@@ -1,4 +1,5 @@
-(** The GSQL interpreter.
+(** The GSQL interpreter: the reference semantics that compiled plans
+    ({!Compile}, the only production executor) are checked against.
 
     Implements the paper's declarative semantics (§4): the FROM clause
     produces a {e compressed} binding table — one row per distinct binding of
@@ -58,10 +59,10 @@ val return_value : result -> Pgraph.Value.t
 
     Everything below is the interpreter's own machinery, exposed so that
     {!Compile} can stage closures over the {e same} runtime: compiled plans
-    share the execution context, fall back to {!exec_stmt} for cold
-    constructs, and reuse the seed-set/predicate helpers verbatim so the
-    two paths cannot drift semantically.  Not a stable API — nothing
-    outside [Gsql] should touch it. *)
+    share the execution context and call the statement, output and
+    aggregate helpers below instead of keeping copies of them, so the two
+    engines cannot drift semantically.  Not a stable API — nothing outside
+    [Gsql] should touch it. *)
 
 type ctx = {
   graph : Pgraph.Graph.t;
@@ -84,7 +85,8 @@ type env = {
   e_ctx : ctx;
   e_lookup : string -> Pgraph.Value.t option;
   e_overlay : overlay option;
-  e_agg : (string -> Ast.expr list -> Pgraph.Value.t) option;
+  e_agg : (string -> Ast.expr -> Pgraph.Value.t) option;
+      (** aggregate-call hook (name, argument), set inside GROUP BY groups *)
 }
 
 val error : ('a, unit, string, 'b) format4 -> 'a
@@ -138,9 +140,69 @@ val expr_vertex_aliases_only : string array -> Ast.expr -> string list option
 val expr_aliases_of : string array -> Ast.expr -> string list
 (** Aliases from the given slot array that the expression mentions. *)
 
-val exec_stmt : ctx -> Ast.stmt -> unit
-(** One interpreted statement (ticks the {!Interrupt} governor itself);
-    compiled plans call this for constructs they leave interpreted. *)
+(** {2 Shared by both engines} *)
+
+val is_aggregate_name : string -> bool
+(** [count], [sum], [avg], [min], [max] (case-insensitive): a one-argument
+    call to one of these inside a GROUP BY group is an aggregate. *)
+
+val aggregate :
+  string -> Ast.expr -> mult:('m -> Pgraph.Bignat.t) -> value:('m -> Pgraph.Value.t) ->
+  'm list -> Pgraph.Value.t
+(** [aggregate name arg ~mult ~value members] folds a group's member rows,
+    each weighted by its path multiplicity [mult m].  [count( * )] counts
+    every row; the other forms skip rows whose argument [value m] is NULL,
+    and [sum]/[avg]/[min]/[max] return NULL when no value is left. *)
+
+val group_by_key : ('a -> Pgraph.Value.t) -> 'a list -> 'a list list
+(** Groups in first-appearance order of their key, members in input
+    order. *)
+
+val compare_keys : (Pgraph.Value.t * bool) list -> (Pgraph.Value.t * bool) list -> int
+(** ORDER BY comparator over key lists of (value, descending) pairs. *)
+
+val post_accum_groups : Ast.acc_stmt list -> (string option * Ast.acc_stmt list) list
+(** POST_ACCUM statements grouped into executions: runs of consecutive
+    statements over the same driving vertex alias ([None] = run once). *)
+
+val expr_aliases : string array -> string array -> Ast.expr -> string list
+(** The pattern aliases (from the vertex and edge alias slot arrays) an
+    output expression mentions. *)
+
+val column_name : Ast.expr * string option -> string
+(** An output column's name: its alias, else the expression's text. *)
+
+val bind_output : ctx -> Ast.output_spec -> Table.t -> unit
+(** Applies the output's DISTINCT and binds the table under its INTO
+    name. *)
+
+val declare : ctx -> Ast.acc_decl -> Pgraph.Value.t option -> unit
+(** An accumulator declaration, with its evaluated initial value. *)
+
+val binding_of : ctx -> Ast.expr -> (unit -> Pgraph.Value.t) -> rt_value
+(** What [X = e] and [RETURN e] bind: a variable keeps its kind, anything
+    else is the scalar [eval ()]. *)
+
+val foreach_items : ctx -> Ast.expr -> (unit -> Pgraph.Value.t) -> Pgraph.Value.t list
+(** What [FOREACH x IN e] iterates. *)
+
+val set_assign : ctx -> string -> Ast.set_source -> unit
+(** Vertex-set assignment ([X = {T.*}], copies, UNION/INTERSECT/MINUS). *)
+
+val print_value : ctx -> string -> Pgraph.Value.t -> unit
+val print_binding : ctx -> string -> rt_value -> unit
+(** [PRINT] of a scalar, or of a variable of any kind, under a label. *)
+
+val projected_set : ctx -> string -> int array
+(** The vertex set a [PRINT S\[...\]] projects; raises when [S] is not
+    one. *)
+
+val print_projection : ctx -> string -> Ast.expr list -> Pgraph.Value.t array list -> unit
+(** Records and prints the [PRINT S\[e1, ...\]] table given its rows. *)
+
+val insert : ctx -> string -> string list -> Pgraph.Value.t list -> unit
+(** [INSERT INTO ty (attrs) VALUES (values)] with the values evaluated:
+    vertex or edge dispatch on [ty], arity and type errors. *)
 
 val make_ctx :
   Pgraph.Graph.t -> Pathsem.Semantics.t -> (string * Pgraph.Value.t) list ->

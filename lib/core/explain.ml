@@ -376,11 +376,11 @@ let render_summary ~timings metrics =
   let lines = ref [] in
   let push fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   push "== execution telemetry ==";
-  let selects = counter "eval.select_blocks" in
+  let selects = counter "compile.select_blocks" in
   (if timings then
      match J.member "histograms" metrics with
      | Some h ->
-       (match J.member "eval.select_ms" h with
+       (match J.member "compile.select_ms" h with
         | Some hist ->
           (match J.member "sum" hist |> Option.map J.to_float_opt |> Option.join with
            | Some sum -> push "select blocks: %d (%s total)" selects (fmt_ms sum)
@@ -406,7 +406,12 @@ type analysis = {
   an_metrics : J.t;
 }
 
-let analyze_parsed graph ?semantics ?(params = []) ?(timings = true) parsed =
+let analyze_source graph ?semantics ?(params = []) ?(timings = true) src =
+  let parsed =
+    match Parser.parse_query src with
+    | q -> `Query q
+    | exception Parser.Error _ -> `Block (Parser.parse_block src)
+  in
   let metrics_were_on = Obs.Metrics.enabled () in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
@@ -415,10 +420,7 @@ let analyze_parsed graph ?semantics ?(params = []) ?(timings = true) parsed =
     match
       Fun.protect
         ~finally:(fun () -> Obs.Metrics.set_enabled metrics_were_on)
-        (fun () ->
-          match parsed with
-          | `Query q -> Eval.run_query graph ?semantics ~params q
-          | `Block stmts -> Eval.run_block graph ?semantics ~params stmts)
+        (fun () -> Compile.run_source graph ?semantics ~params src)
     with
     | r -> r
     | exception e ->
@@ -440,14 +442,6 @@ let analyze_parsed graph ?semantics ?(params = []) ?(timings = true) parsed =
     plan ^ "\n" ^ String.concat "\n" (render_summary ~timings metrics) ^ "\n"
   in
   { an_report = report; an_result = result; an_trace = trace_doc; an_metrics = metrics }
-
-let analyze_source graph ?semantics ?params ?timings src =
-  let parsed =
-    match Parser.parse_query src with
-    | q -> `Query q
-    | exception Parser.Error _ -> `Block (Parser.parse_block src)
-  in
-  analyze_parsed graph ?semantics ?params ?timings parsed
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN / EXPLAIN ANALYZE surface syntax: a leading keyword stripped

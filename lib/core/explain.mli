@@ -25,15 +25,15 @@ type analysis = {
 val analyze_source :
   Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
   ?params:(string * Pgraph.Value.t) list -> ?timings:bool -> string -> analysis
-(** Parses [src] like {!Eval.run_source}, executes it with metrics and
-    tracing enabled, and joins the recorded spans back onto the static plan:
+(** Parses [src] like {!Compile.run_source}, executes its compiled plan
+    with metrics and tracing enabled, and joins the recorded spans back onto the static plan:
     each SELECT block is annotated with executions, binding-table sizes,
     path-engine stats (sources, bindings, multiplicity totals, BFS frontier
     sizes per hop), and accumulator merge/assign counts, followed by a
     whole-run telemetry footer.  [~timings:false] omits wall-clock values so
     the report is deterministic (golden tests).  Metrics are reset on entry;
     the previous enabled/disabled state of the registry is restored on exit.
-    Raises whatever {!Eval.run_source} raises. *)
+    Raises whatever {!Compile.run_source} raises. *)
 
 val strip_explain : string -> [ `Plain | `Explain | `Analyze ] * string
 (** Recognizes a leading [EXPLAIN \[ANALYZE\]] keyword (case-insensitive)

@@ -5,8 +5,9 @@
     original 2 hops to 3 and 4, run under all-shortest-paths semantics
     (TigerGraph) vs non-repeated-edge semantics (Neo4j's default).  Each
     query is generated as GSQL source parameterized by the hop count and
-    executed by the {!Gsql.Eval} interpreter, so the semantics switch is a
-    single [~semantics] argument — exactly the comparison the paper makes.
+    executed as a compiled plan ({!Gsql.Compile.run_source}), so the
+    semantics switch is a single [~semantics] argument — exactly the
+    comparison the paper makes.
 
     Query shapes (scaled-down but structurally faithful):
     - [ic1]: friends within h hops with a given first name, with their city;
@@ -35,7 +36,7 @@ val default_params : Snb.t -> seed:int -> name -> (string * Pgraph.Value.t) list
 val run :
   Snb.t -> ?semantics:Pathsem.Semantics.t -> hops:int -> seed:int -> name ->
   Gsql.Eval.result
-(** Generates parameters and executes the query. *)
+(** Generates parameters and executes the query's compiled plan. *)
 
 val result_rows : Gsql.Eval.result -> int
 (** Row count of the query's [Result] table (sanity metric for tests and

@@ -86,7 +86,7 @@ let default_params (t : Snb.t) ~seed name =
 
 let run t ?semantics ~seed name =
   let params = default_params t ~seed name in
-  Gsql.Eval.run_source t.Snb.graph ?semantics ~params (source name)
+  Gsql.Compile.run_source t.Snb.graph ?semantics ~params (source name)
 
 let result_rows (r : Gsql.Eval.result) =
   match List.assoc_opt "Result" r.Gsql.Eval.r_tables with

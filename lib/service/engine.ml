@@ -31,10 +31,6 @@ type t = {
      jobs queued so workers don't pile up here, but correctness never
      depends on that routing. *)
   persist : Store.Persist.t option;  (* durability; None = memory-only *)
-  mutable interp : bool;
-  (* Escape hatch: execute installed queries through the Eval oracle
-     instead of their compiled plans (GSQL_INTERP=1, or set_interp for
-     the interpreter-vs-compiled ablation). *)
   mutable graph : Pgraph.Graph.t;
   mutable version : int;
   mutable read_only : string option;  (* Some reason => mutations refused *)
@@ -67,10 +63,6 @@ let create ?(cache_capacity = 128) ?semantics ?(limits = Interrupt.no_limits) ?p
     lock = Mutex.create ();
     write_lock = Mutex.create ();
     persist;
-    interp =
-      (match Sys.getenv_opt "GSQL_INTERP" with
-       | Some ("1" | "true" | "yes") -> true
-       | _ -> false);
     graph;
     version;
     read_only = None;
@@ -92,9 +84,6 @@ let graph_version t = locked t (fun () -> t.version)
 let published t = locked t (fun () -> (t.graph, t.version))
 let read_only t = locked t (fun () -> t.read_only)
 let persistent t = t.persist <> None
-
-let set_interp t b = locked t (fun () -> t.interp <- b)
-let use_interp t = locked t (fun () -> t.interp)
 
 let role t = locked t (fun () -> t.role)
 let set_role t r = locked t (fun () -> t.role <- r)
@@ -121,13 +110,10 @@ let role_refusal = function
            Printf.sprintf "stood down: observed epoch %d above this node's; writes here would split-brain" e,
            P.no_hint ))
 
-(* Dispatch one installed query: its compiled plan on the hot path, the
-   tree-walking oracle behind the escape hatch.  Both run on the worker
-   domain against whatever graph the caller pinned. *)
+(* Runs one installed query's compiled plan, on the worker domain,
+   against whatever graph the caller pinned. *)
 let execute t (e : Gsql.Catalog.installed) g params =
-  if use_interp t then
-    Gsql.Eval.run_query g ?semantics:t.semantics ~params e.Gsql.Catalog.i_query
-  else Gsql.Compile.run e.Gsql.Catalog.i_plan ?semantics:t.semantics ~params g
+  Gsql.Compile.run e.Gsql.Catalog.i_plan ?semantics:t.semantics ~params g
 
 let reload t g =
   let old = locked t (fun () ->
@@ -493,7 +479,6 @@ let stats t ~extra =
               J.Obj
                 [ ("compile_ms", J.Float (Gsql.Compile.compile_ms p));
                   ("plan_ops", J.Int (Gsql.Compile.plan_ops p));
-                  ("compiled_ops", J.Int (Gsql.Compile.compiled_ops p));
                   ("generation", J.Int e.Gsql.Catalog.i_generation) ] ))
           (Gsql.Catalog.lookup t.catalog name))
       (Gsql.Catalog.names t.catalog)
@@ -502,7 +487,6 @@ let stats t ~extra =
     (J.Obj
        ([ ("graph_version", J.Int version);
           ("queries", J.List (List.map (fun n -> J.Str n) (Gsql.Catalog.names t.catalog)));
-          ("interp", J.Bool (use_interp t));
           ("plans", J.Obj plan_stats);
           ("invocations", J.Int invocations);
           ("executed", J.Int executed);

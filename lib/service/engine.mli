@@ -95,15 +95,6 @@ val install_snapshot : t -> Pgraph.Graph.t -> version:int -> unit
     the catalog, clears the cache, and compacts the local store when
     persistent. *)
 
-val set_interp : t -> bool -> unit
-(** Routes subsequent executions through the {!Gsql.Eval} interpreter
-    ([true]) or the installed {!Gsql.Compile} plans ([false], the
-    default unless the [GSQL_INTERP] environment variable is set).  The
-    interpreter-vs-compiled ablation toggle; cached results are
-    unaffected (both paths are result-identical by contract). *)
-
-val use_interp : t -> bool
-
 val reload : t -> Pgraph.Graph.t -> unit
 (** Swaps the graph, bumps the version, re-lowers every installed plan
     against the new schema ({!Gsql.Catalog.recompile}) and clears the

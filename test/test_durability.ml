@@ -70,6 +70,8 @@ CREATE QUERY Slow (int n) {
 let invoke_req ?timeout_ms ?(no_cache = false) query params =
   { P.iv_query = query; iv_params = params; iv_timeout_ms = timeout_ms; iv_no_cache = no_cache; iv_tenant = None }
 
+let exec_result = Alcotest.testable P.pp_exec_result P.exec_result_equal
+
 type got = { rs_cached : bool; rs_result : P.exec_result }
 
 let expect_result = function
@@ -202,36 +204,36 @@ let test_engine_commit_bumps_version () =
   Alcotest.(check int) "insert bumps" 2 (Service.Engine.graph_version engine);
   Alcotest.(check int) "insert applied" 4 (G.n_vertices (Service.Engine.graph engine))
 
-(* Mutating queries run through their compiled plans by default; the
-   write path (snapshot, journal, WAL, publish) must end in exactly the
-   state the interpreter oracle produces. *)
+(* Mutating queries run through their compiled plans; the write path
+   (snapshot, journal, WAL, publish) must end in exactly the state the
+   interpreter oracle produces on a fresh copy of the graph. *)
 let test_mutate_compiled_vs_interp () =
-  let final_state interp =
-    let engine = mk_mut_engine () in
-    Service.Engine.set_interp engine interp;
-    let _ =
-      expect_result
-        (Service.Engine.invoke engine
-           (invoke_req "SetBoth" [ ("who", V.Str "n1"); ("x", V.Int 23) ]))
-    in
-    let _ =
-      expect_result
-        (Service.Engine.invoke engine
-           (invoke_req "AddNode" [ ("nm", V.Str "n3"); ("v", V.Int 5) ]))
-    in
-    let r =
-      expect_result
-        (Service.Engine.invoke engine (invoke_req "ReadBoth" [ ("who", V.Str "n1") ]))
-    in
-    (Service.Engine.graph_version engine,
-     G.n_vertices (Service.Engine.graph engine),
-     pair_of_result r.rs_result)
+  let calls =
+    [ ("SetBoth", set_both_src, [ ("who", V.Str "n1"); ("x", V.Int 23) ]);
+      ("AddNode", add_node_src, [ ("nm", V.Str "n3"); ("v", V.Int 5) ]);
+      ("ReadBoth", read_both_src, [ ("who", V.Str "n1") ]) ]
   in
-  let vi, ni, pi = final_state true in
-  let vc, nc, pc = final_state false in
-  Alcotest.(check int) "same version trajectory" vi vc;
-  Alcotest.(check int) "same vertex count" ni nc;
-  Alcotest.(check (pair int int)) "same committed attrs" pi pc
+  let engine = mk_mut_engine () in
+  let served =
+    List.map
+      (fun (name, _, params) ->
+        (expect_result (Service.Engine.invoke engine (invoke_req name params))).rs_result)
+      calls
+  in
+  let g = mut_graph () in
+  let oracle =
+    List.map
+      (fun (_, src, params) -> P.of_eval_result (E.run_query g ~params (Gsql.Parser.parse_query src)))
+      calls
+  in
+  List.iter2
+    (fun (name, _, _) (o, s) -> Alcotest.check exec_result ("same result: " ^ name) o s)
+    calls (List.combine oracle served);
+  Alcotest.(check int) "one version per commit" 2 (Service.Engine.graph_version engine);
+  Alcotest.(check int) "same vertex count" (G.n_vertices g)
+    (G.n_vertices (Service.Engine.graph engine));
+  Alcotest.(check (pair int int)) "same committed attrs"
+    (pair_of_result (List.nth oracle 2)) (pair_of_result (List.nth served 2))
 
 (* Satellite: cache behavior across mutation — a mutation must orphan
    stale entries, and a result cached before the commit must never be

@@ -309,6 +309,33 @@ let test_group_by_multiplicity () =
      Alcotest.check value "2^5 paths" (V.Int 32) r5.(1)
    | _ -> Alcotest.fail "expected two groups")
 
+(* SQL NULL handling: count(e) counts the rows where e is not NULL; sum,
+   avg, min and max skip NULLs, and give NULL when nothing is left.  In g1,
+   vertex 2 has three out-edges and only the targets with name [mark] carry
+   @m; the answer may not depend on the order of the group's rows. *)
+let test_group_by_nulls () =
+  let g = (Pathsem.Toygraphs.g1 ()).Pathsem.Toygraphs.g in
+  let run mark target =
+    let src =
+      Printf.sprintf
+        {|MaxAccum<int> @m;
+          S = SELECT t FROM V:s -(E>)- V:t WHERE t.name == "%s" ACCUM t.@m += 1;
+          SELECT s.name AS n, count(t.@m) AS c, count(*) AS cs, sum(t.@m) AS sm,
+                 avg(t.@m) AS av, min(t.@m) AS mn, max(t.@m) AS mx INTO T
+          FROM V:s -(E>)- V:t WHERE s.name == "%s" GROUP BY s.name;|}
+        mark target
+    in
+    match (E.table (E.run_source g src) "T").Gsql.Table.rows with
+    | [ row ] -> Array.to_list row
+    | _ -> Alcotest.fail "expected one group"
+  in
+  let one_of_three = [ V.Str "2"; V.Int 1; V.Int 3; V.Float 1.0; V.Float 1.0; V.Int 1; V.Int 1 ] in
+  Alcotest.(check (list value)) "@m on target 3" one_of_three (run "3" "2");
+  Alcotest.(check (list value)) "@m on target 6" one_of_three (run "6" "2");
+  Alcotest.(check (list value)) "no @m anywhere"
+    [ V.Str "2"; V.Int 0; V.Int 3; V.Null; V.Null; V.Null; V.Null ]
+    (run "nosuch" "2")
+
 let test_group_by_rejected_on_vertex_select () =
   let { F.g; _ } = F.sales_graph () in
   match E.run_source g "S = SELECT c FROM Customer:c -(Bought>)- Product:p GROUP BY c.name;" with
@@ -502,6 +529,7 @@ let () =
         [ Alcotest.test_case "basic aggregates" `Quick test_group_by_basic;
           Alcotest.test_case "having and limit" `Quick test_group_by_having_and_limit;
           Alcotest.test_case "multiplicity-aware count" `Quick test_group_by_multiplicity;
+          Alcotest.test_case "NULL arguments" `Quick test_group_by_nulls;
           Alcotest.test_case "rejected on vertex select" `Quick test_group_by_rejected_on_vertex_select ] );
       ( "explain",
         [ Alcotest.test_case "plan report" `Quick test_explain_report;

@@ -200,7 +200,7 @@ let analyze_golden =
    tractable class (Theorem 7.1): yes — polynomial-time evaluation under all-shortest-paths \
    semantics\n\
    compiled plan:\n\
-  \  plan: 5 ops (5 compiled, 0 interpreted)\n\
+  \  plan: 5 ops\n\
   \    accum-decl @pathCount\n\
   \    select t | V:s -(E>*)- V:t | WHERE ((s.name == \"v0\") AND (t.name == \"v4\")) | ACCUM[1]\n\
   \      dfa-product s -(E>*)- t\n\
@@ -227,8 +227,8 @@ let test_explain_analyze_golden () =
   Alcotest.(check bool) "metrics back off" false (Obs.Metrics.enabled ())
 
 (* EXPLAIN on a query shows the shape of the closure plan the catalog
-   installs (docs/COMPILER.md): op tree, per-SELECT kernel summary, and
-   which ops fall back to the interpreter.  Compiled without a schema, so
+   installs (docs/COMPILER.md): op tree and per-SELECT kernel summary.
+   Compiled without a schema, so
    segment resolution shows as deferred ([syms@invoke]). *)
 let explain_plan_src = {|
 CREATE QUERY Fanout (int rounds) {
@@ -253,7 +253,7 @@ let explain_plan_golden =
    tractable class (Theorem 7.1): yes — polynomial-time evaluation under all-shortest-paths \
    semantics\n\
    compiled plan:\n\
-  \  plan: 9 ops (8 compiled, 1 interpreted)\n\
+  \  plan: 9 ops\n\
   \    accum-decl @@seen\n\
   \    let i\n\
   \    while (i < rounds)\n\
@@ -262,7 +262,7 @@ let explain_plan_golden =
   \        accum: 1 stmts (locals 0)\n\
   \        emit: vertex set t\n\
   \      let i\n\
-  \    print  [interpreted]\n"
+  \    print @@seen\n"
 
 let test_explain_plan_golden () =
   let q = P.parse_query explain_plan_src in
