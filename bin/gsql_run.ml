@@ -93,11 +93,14 @@ let print_result (r : Gsql.Eval.result) =
    | Some (Gsql.Eval.R_table t) -> Printf.printf "returned table:\n%s" (Gsql.Table.to_string t)
    | None -> ())
 
-let explain_one src =
+(* The plan compiled against the loaded graph's schema, as run_source and
+   the catalog install it. *)
+let explain_one graph src =
+  let schema = Pgraph.Graph.schema graph in
   print_string
-    (match Gsql.Parser.parse_query src with
-     | q -> Gsql.Explain.query q
-     | exception Gsql.Parser.Error _ -> Gsql.Explain.block (Gsql.Parser.parse_block src))
+    (match Gsql.Parser.parse_source src with
+     | `Query q -> Gsql.Explain.query ~schema q
+     | `Block stmts -> Gsql.Explain.block ~schema stmts)
 
 let write_trace path (a : Gsql.Explain.analysis) =
   let doc = Obs.Json.Obj [ ("trace", a.Gsql.Explain.an_trace); ("metrics", a.Gsql.Explain.an_metrics) ] in
@@ -127,7 +130,7 @@ let run_one graph semantics params ~explain ~analyze ~trace_file src =
   let mode = if analyze then `Analyze else if explain then `Explain else mode in
   match
     match mode, trace_file with
-    | `Explain, _ -> explain_one src
+    | `Explain, _ -> explain_one graph src
     | `Analyze, _ -> analyze_one graph semantics params trace_file ~print_report:true src
     | `Plain, Some _ ->
       (* --trace without --analyze: execute under tracing, keep normal output. *)

@@ -486,6 +486,7 @@ let iter_eval p f =
 
 type step = {
   st_ty : string option;
+  st_adir : Darpe.Ast.adir;
   st_rels : G.dir_rel list;             (* allowed, in [Out; In; Und] order *)
   st_rel_ok : bool array;               (* indexed by rel code *)
   st_static : (Pgraph.Schema.t * int array) option;
@@ -537,7 +538,7 @@ let make_step (schema : Pgraph.Schema.t option) ty adir =
        | None -> None)
     | _ -> None
   in
-  { st_ty = ty; st_rels = rels; st_rel_ok = rel_ok; st_static }
+  { st_ty = ty; st_adir = adir; st_rels = rels; st_rel_ok = rel_ok; st_static }
 
 let step_syms env st tyname =
   match st.st_static with
@@ -903,9 +904,13 @@ type cgroup = {
 (* ------------------------------------------------------------------ *)
 (* Plan ops                                                            *)
 
+(* Extra lines [describe] hangs under each select op (EXPLAIN ANALYZE's
+   runtime stats, keyed by the block). *)
+type annot = Ast.select_block -> string list
+
 type op = {
   op_exec : renv -> unit;
-  op_lines : string list;  (* describe lines, indentation baked in *)
+  op_lines : annot -> string list;  (* describe lines, rendered on demand *)
   op_total : int;
 }
 
@@ -913,10 +918,24 @@ let indent lines = List.map (fun l -> "  " ^ l) lines
 
 (* A single-statement op: ticks the governor, then runs. *)
 let leaf_op line exec =
-  { op_exec = (fun env -> Interrupt.tick (); exec env); op_lines = [ line ]; op_total = 1 }
+  { op_exec = (fun env -> Interrupt.tick (); exec env); op_lines = (fun _ -> [ line ]); op_total = 1 }
 
 let sum_total ops = List.fold_left (fun a o -> a + o.op_total) 0 ops
-let child_lines ops = List.concat_map (fun o -> indent o.op_lines) ops
+let child_lines annot ops = List.concat_map (fun o -> indent (o.op_lines annot)) ops
+
+let rec acc_targets (s : Ast.acc_stmt) =
+  match s with
+  | Ast.A_input (t, _) | Ast.A_assign (t, _) -> [ Ast.target_to_string t ]
+  | Ast.A_local _ -> []
+  | Ast.A_attr_assign (v, a, _) -> [ v ^ "." ^ a ]
+  | Ast.A_if (_, th, el) -> List.concat_map acc_targets th @ List.concat_map acc_targets el
+
+(* A DFA product's path-length class (§6.1). *)
+let length_class d =
+  match Darpe.Ast.fixed_unique_length d, Darpe.Ast.max_path_length d with
+  | Some n, _ -> Printf.sprintf "fixed %d" n
+  | None, Some m -> Printf.sprintf "max %d" m
+  | None, None -> "unbounded"
 
 (* ------------------------------------------------------------------ *)
 (* SELECT compilation                                                  *)
@@ -944,55 +963,13 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   let v_aliases, e_aliases = E.collect_aliases b.Ast.s_from in
   let nv = Array.length v_aliases and ne = Array.length e_aliases in
   let row_sc = scope schema [ B_row (v_aliases, e_aliases) ] in
-  (* WHERE push-down, decomposed at compile time: single-vertex-alias
-     conjuncts become per-candidate probe predicates, the rest a residual
-     row filter. *)
-  let pushed_tbl, residual_expr =
-    match b.Ast.s_where with
-    | None -> ([], None)
-    | Some cond ->
-      let parts = E.and_conjuncts cond in
-      let pushable, residual =
-        List.partition
-          (fun part ->
-            let touches_edge =
-              List.exists
-                (fun a -> E.alias_slot e_aliases a >= 0)
-                (E.expr_aliases_of e_aliases part)
-            in
-            if touches_edge then false
-            else
-              match E.expr_vertex_aliases_only v_aliases part with
-              | Some names -> List.length (List.sort_uniq compare names) = 1
-              | None -> false)
-          parts
-      in
-      let by_alias = Hashtbl.create 4 in
-      List.iter
-        (fun part ->
-          match E.expr_vertex_aliases_only v_aliases part with
-          | Some (name :: _) ->
-            Hashtbl.replace by_alias name
-              (part :: (try Hashtbl.find by_alias name with Not_found -> []))
-          | _ -> assert false)
-        pushable;
-      let compiled =
-        Hashtbl.fold
-          (fun name parts acc ->
-            let psc = scope schema [ B_probe name ] in
-            (name, List.map (compile_bool psc) parts) :: acc)
-          by_alias []
-      in
-      let residual_expr =
-        match residual with
-        | [] -> None
-        | first :: rest ->
-          Some (List.fold_left (fun acc p -> Ast.E_binop (Ast.And, acc, p)) first rest)
-      in
-      (compiled, residual_expr)
-  in
+  (* WHERE push-down: single-vertex-alias conjuncts become per-candidate
+     probe predicates, the rest a residual row filter. *)
+  let pushed, residual_expr = E.pushdown b.Ast.s_from b.Ast.s_where in
   let pushed_for alias =
-    match List.assoc_opt alias pushed_tbl with Some ps -> ps | None -> []
+    match List.assoc_opt alias pushed with
+    | Some parts -> List.map (compile_bool (scope schema [ B_probe alias ])) parts
+    | None -> []
   in
   let cconjs =
     List.map
@@ -1429,60 +1406,51 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
                | None -> ());
               exec_inner env))
   in
-  (* Describe lines + op accounting. *)
-  let conj_lines =
-    List.map
-      (fun cj ->
-        match cj.cj_kind with
-        | Cj_step st ->
-          Printf.sprintf "step %s -(%s)- %s%s" cj.cj_src_alias
-            (match st.st_ty with Some t -> t | None -> "_")
-            cj.cj_dst_alias
-            (match st.st_static with
-             | Some _ -> " [syms@install]"
-             | None -> " [syms@invoke]")
-        | Cj_ident d ->
-          Printf.sprintf "identity %s -(%s)- %s [empty-word DFA folded @install]"
-            cj.cj_src_alias (Darpe.Ast.to_string d) cj.cj_dst_alias
-        | Cj_kleene d ->
-          Printf.sprintf "dfa-product %s -(%s)- %s" cj.cj_src_alias
-            (Darpe.Ast.to_string d) cj.cj_dst_alias)
-      cconjs
-  in
-  let where_line =
-    let pushed_names = List.map fst pushed_tbl |> List.sort compare in
-    match pushed_names, residual_expr with
-    | [], None -> []
-    | names, res ->
-      [ Printf.sprintf "where:%s%s"
-          (if names = [] then ""
-           else " pushed[" ^ String.concat "," names ^ "]")
-          (if res = None then "" else " residual") ]
-  in
-  let accum_line =
-    if b.Ast.s_accum = [] then []
-    else
-      [ Printf.sprintf "accum: %d stmts (locals %d%s)"
-          (List.length b.Ast.s_accum) acc_nlocals
-          (if acc_overlay then ", overlay" else "") ]
-  in
-  let post_line =
-    if cgroups = [] then []
-    else [ Printf.sprintf "post-accum: %d groups" (List.length cgroups) ]
-  in
-  let group_line =
-    if not grouped then []
-    else
-      [ "group by: "
-        ^ String.concat ", " (List.map Ast.expr_to_string b.Ast.s_group_by) ]
-  in
-  let out_line =
-    match b.Ast.s_target with
-    | Ast.Sel_vertices (_, alias, _) -> [ "emit: vertex set " ^ alias ]
-    | Ast.Sel_outputs outs ->
-      [ "emit: tables ["
-        ^ String.concat ", " (List.map (fun o -> o.Ast.o_into) outs)
-        ^ "]" ]
+  (* Kernel summary: the decisions made above, rendered on demand. *)
+  let detail_lines () =
+    let pattern cj d = Printf.sprintf "%s -(%s)- %s" cj.cj_src_alias d cj.cj_dst_alias in
+    let conj_line cj =
+      match cj.cj_kind with
+      | Cj_step st ->
+        Printf.sprintf "step %s [syms@%s]"
+          (pattern cj (Darpe.Ast.step_to_string st.st_ty st.st_adir))
+          (match st.st_static with Some _ -> "install" | None -> "invoke")
+      | Cj_ident d ->
+        Printf.sprintf "identity %s [empty-word DFA folded @install]"
+          (pattern cj (Darpe.Ast.to_string d))
+      | Cj_kleene d ->
+        Printf.sprintf "dfa-product %s [%s]" (pattern cj (Darpe.Ast.to_string d)) (length_class d)
+    in
+    let targets stmts =
+      match List.sort_uniq compare (List.concat_map acc_targets stmts) with
+      | [] -> ""
+      | ts -> " -> {" ^ String.concat ", " ts ^ "}"
+    in
+    List.map conj_line cconjs
+    @ List.concat_map
+        (fun (a, parts) ->
+          List.map (fun p -> Printf.sprintf "where pushed[%s]: %s" a (Ast.expr_to_string p)) parts)
+        pushed
+    @ (match residual_expr with
+       | Some e -> [ "where residual: " ^ Ast.expr_to_string e ]
+       | None -> [])
+    @ (if b.Ast.s_accum = [] then []
+       else
+         [ Printf.sprintf "accum: %d stmts (locals %d%s)%s" (List.length b.Ast.s_accum)
+             acc_nlocals
+             (if acc_overlay then ", overlay" else "")
+             (targets b.Ast.s_accum) ])
+    @ (if cgroups = [] then []
+       else
+         [ Printf.sprintf "post-accum: %d groups%s" (List.length cgroups)
+             (targets b.Ast.s_post_accum) ])
+    @ (if grouped then
+         [ "group by: " ^ String.concat ", " (List.map Ast.expr_to_string b.Ast.s_group_by) ]
+       else [])
+    @ [ (match b.Ast.s_target with
+         | Ast.Sel_vertices (_, alias, _) -> "emit: vertex set " ^ alias
+         | Ast.Sel_outputs outs ->
+           "emit: tables [" ^ String.concat ", " (List.map (fun o -> o.Ast.o_into) outs) ^ "]") ]
   in
   let n_inner =
     List.length cconjs + List.length b.Ast.s_accum
@@ -1492,9 +1460,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
       | Ast.Sel_outputs outs -> List.length outs
   in
   { op_exec;
-    op_lines =
-      ("select " ^ signature)
-      :: indent (conj_lines @ where_line @ accum_line @ post_line @ group_line @ out_line);
+    op_lines = (fun annot -> ("select " ^ signature) :: indent (detail_lines () @ annot b));
     op_total = 1 + n_inner }
 
 (* ------------------------------------------------------------------ *)
@@ -1563,7 +1529,9 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
            (fun (g, n) -> (if g then "@@" else "@") ^ n)
            d.Ast.d_names)
     in
-    leaf_op ("accum-decl " ^ names) (fun env ->
+    leaf_op
+      (Printf.sprintf "accum-decl %s: %s" names (Accum.Spec.to_string d.Ast.d_spec))
+      (fun env ->
         E.declare env.ctx d (Option.map (fun ce -> ce env) cinit))
   | Ast.S_set_assign (x, src) ->
     leaf_op ("set " ^ set_label x src) (fun env -> E.set_assign env.ctx x src)
@@ -1598,7 +1566,11 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
                 incr i
               done;
               Obs.Trace.set_attr "iterations" (Obs.Json.Int !i)));
-      op_lines = ("while " ^ Ast.expr_to_string cond) :: child_lines cbody;
+      op_lines =
+        (fun annot ->
+          ("while " ^ Ast.expr_to_string cond
+           ^ match limit with Some l -> " limit " ^ Ast.expr_to_string l | None -> "")
+          :: child_lines annot cbody);
       op_total = 1 + sum_total cbody }
   | Ast.S_if (cond, th, el) ->
     let ccond = compile_bool (gscope schema) cond in
@@ -1609,8 +1581,9 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
           Interrupt.tick ();
           List.iter (fun o -> o.op_exec env) (if ccond env then cth else cel));
       op_lines =
-        (("if " ^ Ast.expr_to_string cond) :: child_lines cth)
-        @ (if cel = [] then [] else "else" :: child_lines cel);
+        (fun annot ->
+          (("if " ^ Ast.expr_to_string cond) :: child_lines annot cth)
+          @ if cel = [] then [] else "else" :: child_lines annot cel);
       op_total = 1 + sum_total cth + sum_total cel }
   | Ast.S_foreach (x, e, body) ->
     let ce = compile_expr (gscope schema) e in
@@ -1624,8 +1597,8 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
               List.iter (fun o -> o.op_exec env) cbody)
             (E.foreach_items env.ctx e (fun () -> ce env)));
       op_lines =
-        (Printf.sprintf "foreach %s in %s" x (Ast.expr_to_string e))
-        :: child_lines cbody;
+        (fun annot ->
+          Printf.sprintf "foreach %s in %s" x (Ast.expr_to_string e) :: child_lines annot cbody);
       op_total = 1 + sum_total cbody }
   | Ast.S_return e ->
     let ce = compile_expr (gscope schema) e in
@@ -1638,41 +1611,43 @@ let rec compile_stmt (schema : Pgraph.Schema.t option) (s : Ast.stmt) : op =
 
 type plan = {
   p_query : Ast.query option;
-  p_primed : string list;
+  p_info : Analyze.info;
   p_ops : op list;
   p_compile_ms : float;
   p_total : int;
-  p_describe : string;
 }
 
-let finish_plan query primed ops t0 =
-  let total = sum_total ops in
-  let header = Printf.sprintf "plan: %d ops" total in
-  { p_query = query;
-    p_primed = primed;
-    p_ops = ops;
-    p_compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-    p_total = total;
-    p_describe =
-      String.concat "\n" (header :: List.concat_map (fun o -> indent o.op_lines) ops) }
-
-let compile ?schema (q : Ast.query) =
+let check ?schema source =
   let t0 = Unix.gettimeofday () in
-  let info = Analyze.check_query q in
-  (match info.Analyze.errors with
-   | [] -> ()
-   | errs -> E.error "analysis failed: %s" (String.concat "; " errs));
-  let ops = List.map (compile_stmt schema) q.Ast.q_body in
-  finish_plan (Some q) info.Analyze.primed ops t0
+  let query, stmts, info =
+    match source with
+    | `Query q -> (Some q, q.Ast.q_body, Analyze.check_query q)
+    | `Block stmts -> (None, stmts, Analyze.check_block stmts)
+  in
+  if info.Analyze.errors <> [] then (info, None)
+  else
+    let ops = List.map (compile_stmt schema) stmts in
+    ( info,
+      Some
+        { p_query = query;
+          p_info = info;
+          p_ops = ops;
+          p_compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+          p_total = sum_total ops } )
 
-let compile_block ?schema stmts =
-  let t0 = Unix.gettimeofday () in
-  let info = Analyze.check_block stmts in
-  (match info.Analyze.errors with
-   | [] -> ()
-   | errs -> E.error "analysis failed: %s" (String.concat "; " errs));
-  let ops = List.map (compile_stmt schema) stmts in
-  finish_plan None info.Analyze.primed ops t0
+let lower ?schema source =
+  match check ?schema source with
+  | _, Some plan -> plan
+  | info, None -> E.error "analysis failed: %s" (String.concat "; " info.Analyze.errors)
+
+let compile ?schema q = lower ?schema (`Query q)
+let compile_block ?schema stmts = lower ?schema (`Block stmts)
+
+(* Parameters are checked before compilation, as the interpreter checks
+   them before analysis, so both raise the same first error. *)
+let compile_source ?schema ~params source =
+  (match source with `Query q -> E.check_params q params | `Block _ -> ());
+  lower ?schema source
 
 let run plan ?semantics ~params graph =
   let sem =
@@ -1682,7 +1657,7 @@ let run plan ?semantics ~params graph =
       E.query_semantics ?semantics q
     | None -> (match semantics with Some s -> s | None -> Sem.All_shortest)
   in
-  let ctx = E.make_ctx graph sem params plan.p_primed in
+  let ctx = E.make_ctx graph sem params plan.p_info.Analyze.primed in
   let env =
     { ctx;
       data = [||];
@@ -1699,19 +1674,14 @@ let run plan ?semantics ~params graph =
    | V.Type_error msg -> E.error "type error: %s" msg);
   E.finish ctx
 
-(* Parameters are checked before compilation, as the interpreter checks
-   them before analysis, so both raise the same first error. *)
 let run_source graph ?semantics ?(params = []) src =
-  let schema = G.schema graph in
-  let plan =
-    match Parser.parse_query src with
-    | q ->
-      E.check_params q params;
-      compile ~schema q
-    | exception Parser.Error _ -> compile_block ~schema (Parser.parse_block src)
-  in
+  let plan = compile_source ~schema:(G.schema graph) ~params (Parser.parse_source src) in
   run plan ?semantics ~params graph
 
+let analysis plan = plan.p_info
 let compile_ms plan = plan.p_compile_ms
 let plan_ops plan = plan.p_total
-let describe plan = plan.p_describe
+
+let describe ?(annot = fun _ -> []) plan =
+  String.concat "\n"
+    (Printf.sprintf "plan: %d ops" plan.p_total :: child_lines annot plan.p_ops)

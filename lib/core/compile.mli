@@ -31,6 +31,19 @@ val compile : ?schema:Pgraph.Schema.t -> Ast.query -> plan
 val compile_block : ?schema:Pgraph.Schema.t -> Ast.stmt list -> plan
 (** Lowers a bare statement block ("interpreted query" sources). *)
 
+val compile_source :
+  ?schema:Pgraph.Schema.t -> params:(string * Pgraph.Value.t) list ->
+  [ `Query of Ast.query | `Block of Ast.stmt list ] -> plan
+(** {!compile} or {!compile_block} on a {!Parser.parse_source} result; a
+    query's [params] are checked first, so the first error raised is the
+    interpreter's. *)
+
+val check :
+  ?schema:Pgraph.Schema.t -> [ `Query of Ast.query | `Block of Ast.stmt list ] ->
+  Analyze.info * plan option
+(** The analysis, and the plan when analysis accepts the source ([None]
+    when [errors] is non-empty).  Raises nothing. *)
+
 val run :
   plan -> ?semantics:Pathsem.Semantics.t ->
   params:(string * Pgraph.Value.t) list -> Pgraph.Graph.t -> Eval.result
@@ -40,9 +53,12 @@ val run :
 val run_source :
   Pgraph.Graph.t -> ?semantics:Pathsem.Semantics.t ->
   ?params:(string * Pgraph.Value.t) list -> string -> Eval.result
-(** Parses a single [CREATE QUERY] definition (or, failing that, a bare
-    statement block), compiles it against the graph's schema and runs it.
-    Raises what {!Eval.run_source} raises on the same input. *)
+(** Parses the source ({!Parser.parse_source}), compiles it against the
+    graph's schema and runs it.  Raises what {!Eval.run_source} raises on
+    the same input. *)
+
+val analysis : plan -> Analyze.info
+(** The {!Analyze} result the plan was compiled from. *)
 
 val compile_ms : plan -> float
 (** Wall-clock milliseconds spent lowering (the install-time cost). *)
@@ -50,6 +66,11 @@ val compile_ms : plan -> float
 val plan_ops : plan -> int
 (** Total statement operations in the plan, nested ones included. *)
 
-val describe : plan -> string
-(** Deterministic plan-shape rendering (op tree, per-SELECT kernel
-    summary) — the [EXPLAIN] section. *)
+val describe : ?annot:(Ast.select_block -> string list) -> plan -> string
+(** Deterministic rendering of the op tree — the plan EXPLAIN prints.  Each
+    [select] op lists its pattern kernels (adjacency [step] with its
+    segment-symbol resolution point, constant-folded [identity], or
+    [dfa-product] with its path-length class), every pushed WHERE predicate
+    under its alias, the residual predicate, the accumulator targets of
+    ACCUM and POST_ACCUM, GROUP BY keys and its outputs.  [annot] appends
+    lines under each select op (EXPLAIN ANALYZE's runtime stats). *)

@@ -558,82 +558,47 @@ let rec and_conjuncts (e : Ast.expr) =
   | Ast.E_binop (Ast.And, a, b) -> and_conjuncts a @ and_conjuncts b
   | other -> [ other ]
 
-let rec expr_vertex_aliases_only (aliases : string array) (e : Ast.expr) : string list option =
-  (* Some [names] when the expression mentions pattern aliases only through
-     the returned vertex aliases (no edge aliases); None = not pushable. *)
-  let merge a b =
-    match a, b with
-    | Some x, Some y -> Some (x @ y)
-    | _ -> None
-  in
+(* The names an expression reads, each flagged [true] when read through a
+   vertex accumulator ([x.@acc], which no edge alias can carry). *)
+let rec expr_refs (e : Ast.expr) : (string * bool) list =
   match e with
-  | Ast.E_var v | Ast.E_attr (v, _) | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _) ->
-    if alias_slot aliases v >= 0 then Some [ v ] else Some []
+  | Ast.E_var v | Ast.E_attr (v, _) -> [ (v, false) ]
+  | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _) -> [ (v, true) ]
   | Ast.E_int _ | Ast.E_float _ | Ast.E_string _ | Ast.E_bool _ | Ast.E_null | Ast.E_gacc _
-  | Ast.E_gacc_prev _ -> Some []
-  | Ast.E_binop (_, a, b) ->
-    merge (expr_vertex_aliases_only aliases a) (expr_vertex_aliases_only aliases b)
-  | Ast.E_unop (_, a) -> expr_vertex_aliases_only aliases a
-  | Ast.E_call (_, args) | Ast.E_tuple args ->
-    List.fold_left (fun acc a -> merge acc (expr_vertex_aliases_only aliases a)) (Some []) args
-  | Ast.E_method (base, _, args) ->
-    List.fold_left
-      (fun acc a -> merge acc (expr_vertex_aliases_only aliases a))
-      (expr_vertex_aliases_only aliases base)
-      args
-  | Ast.E_arrow (ks, vs) ->
-    List.fold_left
-      (fun acc a -> merge acc (expr_vertex_aliases_only aliases a))
-      (Some []) (ks @ vs)
+  | Ast.E_gacc_prev _ -> []
+  | Ast.E_binop (_, a, b) -> expr_refs a @ expr_refs b
+  | Ast.E_unop (_, a) -> expr_refs a
+  | Ast.E_call (_, args) | Ast.E_tuple args -> List.concat_map expr_refs args
+  | Ast.E_method (base, _, args) -> expr_refs base @ List.concat_map expr_refs args
+  | Ast.E_arrow (ks, vs) -> List.concat_map expr_refs (ks @ vs)
 
-let rec expr_aliases_of (e_aliases : string array) (e : Ast.expr) : string list =
-  match e with
-  | Ast.E_var v | Ast.E_attr (v, _) -> if alias_slot e_aliases v >= 0 then [ v ] else []
-  | Ast.E_vacc _ | Ast.E_vacc_prev _ | Ast.E_int _ | Ast.E_float _ | Ast.E_string _
-  | Ast.E_bool _ | Ast.E_null | Ast.E_gacc _ | Ast.E_gacc_prev _ -> []
-  | Ast.E_binop (_, a, b) -> expr_aliases_of e_aliases a @ expr_aliases_of e_aliases b
-  | Ast.E_unop (_, a) -> expr_aliases_of e_aliases a
-  | Ast.E_call (_, args) | Ast.E_tuple args -> List.concat_map (expr_aliases_of e_aliases) args
-  | Ast.E_method (base, _, args) ->
-    expr_aliases_of e_aliases base @ List.concat_map (expr_aliases_of e_aliases) args
-  | Ast.E_arrow (ks, vs) -> List.concat_map (expr_aliases_of e_aliases) (ks @ vs)
-
-let split_where ctx (from : Ast.conjunct list) (where : Ast.expr option) =
-  let v_aliases, e_aliases = collect_aliases from in
+(* The push-down partition both executors (and EXPLAIN) share.  Each
+   pushed alias lists its predicates in evaluation order, last conjunct
+   first; aliases appear in first-pushed order.  The residual keeps its
+   conjuncts in source order. *)
+let pushdown (from : Ast.conjunct list) (where : Ast.expr option) =
   match where with
-  | None -> ((fun _ _ -> true), None)
+  | None -> ([], None)
   | Some cond ->
-    let parts = and_conjuncts cond in
-    let pushable, residual =
-      List.partition
-        (fun part ->
-          (* Pushable: references exactly one vertex alias and no edge
-             alias. *)
-          let touches_edge =
-            List.exists (fun a -> alias_slot e_aliases a >= 0) (expr_aliases_of e_aliases part)
-          in
-          if touches_edge then false
-          else
-            match expr_vertex_aliases_only v_aliases part with
-            | Some names -> List.length (List.sort_uniq compare names) = 1
-            | None -> false)
-        parts
+    let v_aliases, e_aliases = collect_aliases from in
+    (* Pushable: references exactly one vertex alias and no edge alias. *)
+    let pushed_to part =
+      let refs = expr_refs part in
+      if List.exists (fun (a, acc) -> (not acc) && alias_slot e_aliases a >= 0) refs then None
+      else
+        match List.filter (fun (a, _) -> alias_slot v_aliases a >= 0) refs with
+        | (name, _) :: rest when List.for_all (fun (a, _) -> a = name) rest -> Some name
+        | _ -> None
     in
-    let by_alias = Hashtbl.create 4 in
-    List.iter
-      (fun part ->
-        match expr_vertex_aliases_only v_aliases part with
-        | Some (name :: _) ->
-          Hashtbl.replace by_alias name
-            (part :: (try Hashtbl.find by_alias name with Not_found -> []))
-        | _ -> assert false)
-      pushable;
-    let alias_pred alias v =
-      match Hashtbl.find_opt by_alias alias with
-      | None -> true
-      | Some parts ->
-        let env = env_with ctx [ (alias, V.Vertex v) ] in
-        List.for_all (fun p -> V.to_bool (eval_expr env p)) parts
+    let pushed, residual =
+      List.fold_left
+        (fun (pushed, residual) part ->
+          match pushed_to part with
+          | Some a when List.mem_assoc a pushed ->
+            (List.map (fun (b, ps) -> if b = a then (b, part :: ps) else (b, ps)) pushed, residual)
+          | Some a -> (pushed @ [ (a, [ part ]) ], residual)
+          | None -> (pushed, residual @ [ part ]))
+        ([], []) (and_conjuncts cond)
     in
     let residual_expr =
       match residual with
@@ -641,7 +606,18 @@ let split_where ctx (from : Ast.conjunct list) (where : Ast.expr option) =
       | first :: rest ->
         Some (List.fold_left (fun acc p -> Ast.E_binop (Ast.And, acc, p)) first rest)
     in
-    (alias_pred, residual_expr)
+    (pushed, residual_expr)
+
+let split_where ctx (from : Ast.conjunct list) (where : Ast.expr option) =
+  let pushed, residual = pushdown from where in
+  let alias_pred alias v =
+    match List.assoc_opt alias pushed with
+    | None -> true
+    | Some parts ->
+      let env = env_with ctx [ (alias, V.Vertex v) ] in
+      List.for_all (fun p -> V.to_bool (eval_expr env p)) parts
+  in
+  (alias_pred, residual)
 
 (* ------------------------------------------------------------------ *)
 (* ACCUM / POST_ACCUM execution                                        *)
@@ -1308,11 +1284,9 @@ let run_query graph ?semantics ~params (q : Ast.query) =
   run_checked graph sem params q.Ast.q_body (Analyze.check_query q)
 
 let run_source graph ?semantics ?(params = []) src =
-  match Parser.parse_query src with
-  | q -> run_query graph ?semantics ~params q
-  | exception Parser.Error _ ->
-    let stmts = Parser.parse_block src in
-    run_block graph ?semantics:(semantics : Sem.t option) ~params stmts
+  match Parser.parse_source src with
+  | `Query q -> run_query graph ?semantics ~params q
+  | `Block stmts -> run_block graph ?semantics ~params stmts
 
 let table result name =
   match List.assoc_opt name result.r_tables with

@@ -130,15 +130,13 @@ val alias_slot : string array -> string -> int
 val collect_aliases : Ast.conjunct list -> string array * string array
 (** Vertex and edge alias slots of a FROM clause, in first-mention order. *)
 
-val and_conjuncts : Ast.expr -> Ast.expr list
-(** Splits a top-level AND tree (WHERE push-down decomposition). *)
-
-val expr_vertex_aliases_only : string array -> Ast.expr -> string list option
-(** [Some names] when the expression mentions pattern aliases only through
-    the returned vertex aliases; [None] = not pushable. *)
-
-val expr_aliases_of : string array -> Ast.expr -> string list
-(** Aliases from the given slot array that the expression mentions. *)
+val pushdown :
+  Ast.conjunct list -> Ast.expr option -> (string * Ast.expr list) list * Ast.expr option
+(** The WHERE push-down partition: the top-level AND conjuncts that
+    reference exactly one vertex alias of the FROM clause (and no edge
+    alias), grouped by that alias, and the rest folded back into one
+    residual row filter.  Each alias's predicates come in evaluation order
+    (last conjunct first); both executors test them in that order. *)
 
 (** {2 Shared by both engines} *)
 

@@ -1,127 +1,18 @@
-let classify_darpe (d : Darpe.Ast.t) =
-  match d with
-  | Darpe.Ast.Step _ -> "single step -> direct adjacency scan (binds edge variables)"
-  | _ ->
-    (match Darpe.Ast.fixed_unique_length d, Darpe.Ast.max_path_length d with
-     | Some n, _ ->
-       Printf.sprintf
-         "fixed-unique-length (%d) -> product traversal; all-shortest = unrestricted semantics" n
-     | None, Some m ->
-       Printf.sprintf "bounded repetition (max %d) -> graph x DFA product traversal" m
-     | None, None ->
-       "unbounded Kleene -> graph x DFA product; counting engine polynomial, enumeration \
-        engines exponential in matching paths")
+let header = function
+  | `Block _ -> ""
+  | `Query (q : Ast.query) ->
+    Printf.sprintf "query %s(%s)%s\n" q.Ast.q_name
+      (String.concat ", " (List.map (fun (p : Ast.param) -> p.Ast.p_name) q.Ast.q_params))
+      (match q.Ast.q_semantics with
+       | Some sem -> Printf.sprintf " [semantics: %s]" (Pathsem.Semantics.to_string sem)
+       | None -> " [semantics: all-shortest (default)]")
 
-(* A WHERE conjunct pushes down when it touches exactly one vertex alias of
-   the pattern (mirrors Eval.split_where). *)
-let rec and_conjuncts (e : Ast.expr) =
-  match e with
-  | Ast.E_binop (Ast.And, a, b) -> and_conjuncts a @ and_conjuncts b
-  | other -> [ other ]
-
-let rec expr_vars (e : Ast.expr) =
-  match e with
-  | Ast.E_var v | Ast.E_attr (v, _) | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _) -> [ v ]
-  | Ast.E_binop (_, a, b) -> expr_vars a @ expr_vars b
-  | Ast.E_unop (_, a) -> expr_vars a
-  | Ast.E_call (_, args) | Ast.E_tuple args -> List.concat_map expr_vars args
-  | Ast.E_method (base, _, args) -> expr_vars base @ List.concat_map expr_vars args
-  | Ast.E_arrow (ks, vs) -> List.concat_map expr_vars (ks @ vs)
-  | Ast.E_int _ | Ast.E_float _ | Ast.E_string _ | Ast.E_bool _ | Ast.E_null | Ast.E_gacc _
-  | Ast.E_gacc_prev _ -> []
-
-let rec acc_targets (s : Ast.acc_stmt) =
-  match s with
-  | Ast.A_input (t, _) | Ast.A_assign (t, _) -> [ Ast.target_to_string t ]
-  | Ast.A_local _ -> []
-  | Ast.A_attr_assign (v, a, _) -> [ Printf.sprintf "%s.%s (attribute)" v a ]
-  | Ast.A_if (_, th, el) -> List.concat_map acc_targets th @ List.concat_map acc_targets el
-
-let endpoint_alias (ep : Ast.endpoint) =
-  match ep.Ast.ep_alias with Some a -> a | None -> ep.Ast.ep_set
-
-let explain_select buf (b : Ast.select_block) =
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  let pattern_aliases =
-    List.concat_map
-      (fun (c : Ast.conjunct) -> [ endpoint_alias c.Ast.c_src; endpoint_alias c.Ast.c_dst ])
-      b.Ast.s_from
-    |> List.sort_uniq compare
-  in
-  List.iteri
-    (fun i (c : Ast.conjunct) ->
-      add "  pattern %d: %s -(%s)- %s\n" (i + 1) (endpoint_alias c.Ast.c_src)
-        (Darpe.Ast.to_string c.Ast.c_darpe)
-        (endpoint_alias c.Ast.c_dst);
-      add "    %s\n" (classify_darpe c.Ast.c_darpe))
-    b.Ast.s_from;
-  if List.length b.Ast.s_from > 1 then
-    add "  join: %d conjuncts hash-joined on shared aliases {%s}\n" (List.length b.Ast.s_from)
-      (String.concat ", " pattern_aliases);
-  (match b.Ast.s_where with
-   | None -> ()
-   | Some w ->
-     let parts = and_conjuncts w in
-     let pushed, residual =
-       List.partition
-         (fun p ->
-           match List.sort_uniq compare (List.filter (fun v -> List.mem v pattern_aliases) (expr_vars p)) with
-           | [ _ ] -> true
-           | _ -> false)
-         parts
-     in
-     List.iter (fun p -> add "  where (pushed to seed filter): %s\n" (Ast.expr_to_string p)) pushed;
-     List.iter (fun p -> add "  where (residual row filter):  %s\n" (Ast.expr_to_string p)) residual);
-  let accum_targets = List.sort_uniq compare (List.concat_map acc_targets b.Ast.s_accum) in
-  if accum_targets <> [] then
-    add "  accum: one execution per binding row (multiplicity-weighted) -> {%s}\n"
-      (String.concat ", " accum_targets);
-  let post_targets = List.sort_uniq compare (List.concat_map acc_targets b.Ast.s_post_accum) in
-  if post_targets <> [] then
-    add "  post_accum: once per distinct vertex -> {%s}\n" (String.concat ", " post_targets);
-  if b.Ast.s_group_by <> [] then
-    add "  group by: %s (aggregates fold multiplicities; bag semantics)\n"
-      (String.concat ", " (List.map Ast.expr_to_string b.Ast.s_group_by));
-  (match b.Ast.s_order_by, b.Ast.s_limit with
-   | [], None -> ()
-   | keys, limit ->
-     add "  order/limit: %s%s\n"
-       (String.concat ", "
-          (List.map (fun (e, d) -> Ast.expr_to_string e ^ if d then " DESC" else " ASC") keys))
-       (match limit with Some l -> " limit " ^ Ast.expr_to_string l | None -> ""))
-
-let rec explain_stmt ?(annot : Ast.select_block -> string list = fun _ -> []) buf depth
-    (s : Ast.stmt) =
-  let explain_stmt = explain_stmt ~annot in
-  let indent = String.make (depth * 2) ' ' in
-  let add fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (indent ^ str)) fmt in
-  match s with
-  | Ast.S_select (binding, b) ->
-    add "SELECT block%s:\n" (match binding with Some x -> Printf.sprintf " (binds %s)" x | None -> "");
-    explain_select buf b;
-    List.iter (fun line -> Buffer.add_string buf ("  " ^ line ^ "\n")) (annot b)
-  | Ast.S_while (c, limit, body) ->
-    add "WHILE %s%s: accumulators carry state across iterations\n" (Ast.expr_to_string c)
-      (match limit with Some l -> " (limit " ^ Ast.expr_to_string l ^ ")" | None -> "");
-    List.iter (explain_stmt buf (depth + 1)) body
-  | Ast.S_if (_, th, el) ->
-    add "IF/ELSE:\n";
-    List.iter (explain_stmt buf (depth + 1)) th;
-    List.iter (explain_stmt buf (depth + 1)) el
-  | Ast.S_foreach (x, e, body) ->
-    add "FOREACH %s IN %s:\n" x (Ast.expr_to_string e);
-    List.iter (explain_stmt buf (depth + 1)) body
-  | Ast.S_acc_decl d ->
-    add "declare %s: %s\n"
-      (String.concat ", " (List.map (fun (g, n) -> (if g then "@@" else "@") ^ n) d.Ast.d_names))
-      (Accum.Spec.to_string d.Ast.d_spec)
-  | Ast.S_set_assign (x, _) -> add "vertex set %s\n" x
-  | Ast.S_insert (ty, _, _) -> add "INSERT INTO %s\n" ty
-  | Ast.S_gacc_assign _ | Ast.S_let _ | Ast.S_print _ | Ast.S_return _ -> ()
-
-let explain_body ?annot buf stmts =
-  let info = Analyze.check_block stmts in
-  List.iter (explain_stmt ?annot buf 0) stmts;
+(* Header, the compiled plan (none when analysis rejected the source), then
+   the analysis verdict. *)
+let render ?annot source (info : Analyze.info) plan =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf (header source);
+  Option.iter (fun p -> Buffer.add_string buf (Compile.describe ?annot p ^ "\n")) plan;
   (match info.Analyze.errors with
    | [] -> ()
    | errs ->
@@ -132,48 +23,26 @@ let explain_body ?annot buf stmts =
     (if info.Analyze.tractable then
        "tractable class (Theorem 7.1): yes — polynomial-time evaluation under \
         all-shortest-paths semantics\n"
-     else "tractable class (Theorem 7.1): NO — evaluation may be exponential\n")
-
-(* The shape of the closure plan {!Catalog} installs for this source
-   (docs/COMPILER.md).  Compiled without a schema, so segment-symbol
-   resolution shows as deferred ([syms@invoke]) — the catalog's
-   schema-aware install resolves them statically.  Analysis failures were
-   already reported above; a plan can't exist for them. *)
-let compiled_section buf mk_plan =
-  match mk_plan () with
-  | plan ->
-    Buffer.add_string buf "compiled plan:\n";
-    String.split_on_char '\n' (Compile.describe plan)
-    |> List.iter (fun line -> Buffer.add_string buf ("  " ^ line ^ "\n"))
-  | exception _ -> ()
-
-let block ?annot stmts =
-  let buf = Buffer.create 512 in
-  explain_body ?annot buf stmts;
-  compiled_section buf (fun () -> Compile.compile_block stmts);
+     else "tractable class (Theorem 7.1): NO — evaluation may be exponential\n");
   Buffer.contents buf
 
-let query ?annot (q : Ast.query) =
-  let buf = Buffer.create 512 in
-  Printf.ksprintf (Buffer.add_string buf) "query %s(%s)%s\n" q.Ast.q_name
-    (String.concat ", " (List.map (fun (p : Ast.param) -> p.Ast.p_name) q.Ast.q_params))
-    (match q.Ast.q_semantics with
-     | Some sem -> Printf.sprintf " [semantics: %s]" (Pathsem.Semantics.to_string sem)
-     | None -> " [semantics: all-shortest (default)]");
-  explain_body ?annot buf q.Ast.q_body;
-  compiled_section buf (fun () -> Compile.compile q);
-  Buffer.contents buf
+let explain ?schema source =
+  let info, plan = Compile.check ?schema source in
+  render source info plan
+
+let query ?schema q = explain ?schema (`Query q)
+let block ?schema stmts = explain ?schema (`Block stmts)
 
 (* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE: run the query under tracing, then join the recorded
-   span tree back onto the static plan.                                *)
+(* EXPLAIN ANALYZE: run the compiled plan under tracing, then join the
+   recorded span tree back onto that plan's select ops.                *)
 
 module T = Obs.Trace
 module J = Obs.Json
 
-(* Per-static-block aggregation of "select" spans (a block inside a WHILE
-   executes once per iteration; they fold together keyed on the FROM
-   signature the evaluator stamped on each span). *)
+(* Per-select-op aggregation of "select" spans (a block inside a WHILE
+   executes once per iteration; they fold together keyed on the block
+   signature the plan stamped on each span). *)
 type block_stats = {
   mutable bs_execs : int;
   mutable bs_ms : float;
@@ -407,11 +276,8 @@ type analysis = {
 }
 
 let analyze_source graph ?semantics ?(params = []) ?(timings = true) src =
-  let parsed =
-    match Parser.parse_query src with
-    | q -> `Query q
-    | exception Parser.Error _ -> `Block (Parser.parse_block src)
-  in
+  let source = Parser.parse_source src in
+  let plan = Compile.compile_source ~schema:(Pgraph.Graph.schema graph) ~params source in
   let metrics_were_on = Obs.Metrics.enabled () in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
@@ -420,7 +286,7 @@ let analyze_source graph ?semantics ?(params = []) ?(timings = true) src =
     match
       Fun.protect
         ~finally:(fun () -> Obs.Metrics.set_enabled metrics_were_on)
-        (fun () -> Compile.run_source graph ?semantics ~params src)
+        (fun () -> Compile.run plan ?semantics ~params graph)
     with
     | r -> r
     | exception e ->
@@ -437,9 +303,9 @@ let analyze_source graph ?semantics ?(params = []) ?(timings = true) src =
     | Some stats -> render_block_stats ~timings stats
     | None -> [ "analyze: not executed" ]
   in
-  let plan = match parsed with `Query q -> query ~annot q | `Block stmts -> block ~annot stmts in
   let report =
-    plan ^ "\n" ^ String.concat "\n" (render_summary ~timings metrics) ^ "\n"
+    render ~annot source (Compile.analysis plan) (Some plan)
+    ^ "\n" ^ String.concat "\n" (render_summary ~timings metrics) ^ "\n"
   in
   { an_report = report; an_result = result; an_trace = trace_doc; an_metrics = metrics }
 

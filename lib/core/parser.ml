@@ -903,6 +903,11 @@ let parse_block src =
       stmts)
     src
 
+let parse_source src =
+  match parse_query src with
+  | q -> `Query q
+  | exception Error _ -> `Block (parse_block src)
+
 let parse_expr src =
   wrap_lex
     (fun st ->

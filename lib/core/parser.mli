@@ -15,5 +15,9 @@ val parse_query : string -> Ast.query
 val parse_block : string -> Ast.stmt list
 (** Parses a braceless statement sequence. *)
 
+val parse_source : string -> [ `Query of Ast.query | `Block of Ast.stmt list ]
+(** A single [CREATE QUERY] definition or, failing that, a bare statement
+    block; a source that is neither raises the block parser's {!Error}. *)
+
 val parse_expr : string -> Ast.expr
 (** Parses a single expression (tests, REPL conditions). *)

@@ -50,6 +50,9 @@ val fixed_unique_length : t -> int option
 
 val mentions_wildcard : t -> bool
 
+val step_to_string : string option -> adir -> string
+(** One adorned step: [E>], [<E], [E], [E?]; [_] for the wildcard. *)
+
 val to_string : t -> string
 (** Concrete syntax re-rendering, parseable by {!Parse.parse}. *)
 

@@ -450,6 +450,27 @@ let test_insert_errors () =
 
 (* --- EXPLAIN --- *)
 
+let occurrences report needle =
+  let n = String.length needle and m = String.length report in
+  let rec go i acc =
+    if i + n > m then acc else go (i + 1) (if String.sub report i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let mentions report needles =
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("report mentions: " ^ needle) true (occurrences report needle > 0))
+    needles
+
+let omits report needles =
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("report omits: " ^ needle) false (occurrences report needle > 0))
+    needles
+
+let explain_block src = Gsql.Explain.block (Gsql.Parser.parse_block src)
+
 let test_explain_report () =
   let src = {|
 CREATE QUERY Qn (string srcName, string tgtName) SEMANTICS 'non-repeated-edge' {
@@ -463,30 +484,76 @@ CREATE QUERY Qn (string srcName, string tgtName) SEMANTICS 'non-repeated-edge' {
 |}
   in
   let report = Gsql.Explain.query (Gsql.Parser.parse_query src) in
-  let contains needle =
-    let n = String.length needle and m = String.length report in
-    let rec go i = i + n <= m && (String.sub report i n = needle || go (i + 1)) in
-    Alcotest.(check bool) ("report mentions: " ^ needle) true (go 0)
-  in
-  contains "semantics: non-repeated-edge";
-  contains "unbounded Kleene";
-  contains "pushed to seed filter";
-  contains "t.@pathCount";
-  contains "tractable class (Theorem 7.1): yes"
+  mentions report
+    [ "semantics: non-repeated-edge";
+      "dfa-product s -(E>*)- t [unbounded]";
+      "where pushed[s]: (s.name == srcName)";
+      "-> {t.@pathCount}";
+      "tractable class (Theorem 7.1): yes" ];
+  Alcotest.(check int) "exactly one plan" 1 (occurrences report "plan:")
 
 let test_explain_intractable_and_errors () =
   let report =
-    Gsql.Explain.block
-      (Gsql.Parser.parse_block
-         "ListAccum<int> @@l; S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@l += 1, t.@missing += 2;")
+    explain_block
+      "ListAccum<int> @@l; S = SELECT t FROM V:s -(E>*)- V:t ACCUM @@l += 1, t.@missing += 2;"
   in
-  let contains needle =
-    let n = String.length needle and m = String.length report in
-    let rec go i = i + n <= m && (String.sub report i n = needle || go (i + 1)) in
-    Alcotest.(check bool) ("report mentions: " ^ needle) true (go 0)
+  mentions report [ "analysis errors:"; "tractable class (Theorem 7.1): NO" ];
+  (* A rejected source has no plan. *)
+  omits report [ "plan:" ]
+
+(* EXPLAIN reports the push-down Compile performs: a conjunct that reads
+   an edge alias stays a residual row filter even when it names only one
+   vertex alias. *)
+let test_explain_edge_alias_residual () =
+  let report =
+    explain_block
+      "S = SELECT t FROM Person:s -(KNOWS:e)- Person:t \
+       WHERE e.creationDate > s.creationDate AND s.firstName == 'Jan';"
   in
-  contains "analysis errors:";
-  contains "tractable class (Theorem 7.1): NO"
+  mentions report
+    [ "where pushed[s]: (s.firstName == \"Jan\")";
+      "where residual: (e.creationDate > s.creationDate)" ];
+  omits report [ "where pushed[s]: (e.creationDate" ]
+
+(* *0..0 accepts only the empty word; the plan folds it to identity pairs
+   instead of running a product traversal. *)
+let test_explain_empty_word_identity () =
+  let report = explain_block "S = SELECT p FROM Person:p -(KNOWS*0..0)- Person:q;" in
+  mentions report [ "identity p -(())- q [empty-word DFA folded @install]" ];
+  omits report [ "dfa-product"; "product traversal" ]
+
+(* EXPLAIN ANALYZE describes the plan it executed: compiled against the
+   graph's schema, so the step's segment symbols resolved at install. *)
+let test_explain_analyze_executed_plan () =
+  let { Pathsem.Toygraphs.g; _ } = Pathsem.Toygraphs.g1 () in
+  let a =
+    Gsql.Explain.analyze_source g ~timings:false
+      "SumAccum<int> @@n; S = SELECT t FROM V:s -(E>)- V:t ACCUM @@n += 1;"
+  in
+  let report = a.Gsql.Explain.an_report in
+  mentions report [ "step s -(E>)- t [syms@install]"; "analyze: 1 execution" ];
+  omits report [ "[syms@invoke]" ];
+  Alcotest.(check int) "exactly one plan" 1 (occurrences report "plan:")
+
+(* Op lines carry the step direction, a WHILE's LIMIT, an accumulator
+   declaration's type and a product's path-length class. *)
+let test_explain_describe_lines () =
+  let report =
+    explain_block
+      "SumAccum<int> @@n; i = 0;\n\
+       WHILE i < 3 LIMIT 7 DO\n\
+      \  S = SELECT t FROM V:s -(<E)- V:t ACCUM @@n += 1;\n\
+      \  i = i + 1;\n\
+       END;\n\
+       A = SELECT t FROM V:s -(E>*1..3)- V:t;\n\
+       B = SELECT t FROM V:s -(E>.E>)- V:t;"
+  in
+  mentions report
+    [ "step s -(<E)- t";
+      "while (i < 3) limit 7";
+      "accum-decl @@n: SumAccum<int>";
+      "dfa-product s -(E>*1..3)- t [max 3]";
+      "dfa-product s -(E>.E>)- t [fixed 2]" ]
 
 (* --- Table utilities --- *)
 
@@ -533,7 +600,13 @@ let () =
           Alcotest.test_case "rejected on vertex select" `Quick test_group_by_rejected_on_vertex_select ] );
       ( "explain",
         [ Alcotest.test_case "plan report" `Quick test_explain_report;
-          Alcotest.test_case "intractable and errors" `Quick test_explain_intractable_and_errors ] );
+          Alcotest.test_case "intractable and errors" `Quick test_explain_intractable_and_errors;
+          Alcotest.test_case "edge-alias conjunct is residual" `Quick
+            test_explain_edge_alias_residual;
+          Alcotest.test_case "*0..0 is identity" `Quick test_explain_empty_word_identity;
+          Alcotest.test_case "analyze describes the executed plan" `Quick
+            test_explain_analyze_executed_plan;
+          Alcotest.test_case "describe lines" `Quick test_explain_describe_lines ] );
       ( "insert",
         [ Alcotest.test_case "vertex and edge" `Quick test_insert_vertex_and_edge;
           Alcotest.test_case "errors" `Quick test_insert_errors ] );

@@ -183,30 +183,22 @@ R = SELECT t FROM V:s -(E>*)- V:t
 |}
 
 let analyze_golden =
-  "declare @pathCount: SumAccum<int>\n\
-   SELECT block (binds R):\n\
-  \  pattern 1: s -(E>*)- t\n\
-  \    unbounded Kleene -> graph x DFA product; counting engine polynomial, enumeration engines \
-   exponential in matching paths\n\
-  \  where (pushed to seed filter): (s.name == \"v0\")\n\
-  \  where (pushed to seed filter): (t.name == \"v4\")\n\
-  \  accum: one execution per binding row (multiplicity-weighted) -> {t.@pathCount}\n\
-  \  analyze: 1 execution\n\
-  \    match: 1 binding row\n\
-  \    paths: engine counting, 1 source -> 1 binding, path multiplicity 16\n\
-  \    bfs: 9 hops, frontier sizes [1, 2, 1, 2, 1, 2, 1, 2, 1] (product states per hop)\n\
-  \    accum: 1 acc-execution, 1 merge op, 0 assigns\n\
-  \    output: 1 vertex set member\n\
+  "plan: 5 ops\n\
+  \  accum-decl @pathCount: SumAccum<int>\n\
+  \  select t | V:s -(E>*)- V:t | WHERE ((s.name == \"v0\") AND (t.name == \"v4\")) | ACCUM[1]\n\
+  \    dfa-product s -(E>*)- t [unbounded]\n\
+  \    where pushed[s]: (s.name == \"v0\")\n\
+  \    where pushed[t]: (t.name == \"v4\")\n\
+  \    accum: 1 stmts (locals 0) -> {t.@pathCount}\n\
+  \    emit: vertex set t\n\
+  \    analyze: 1 execution\n\
+  \      match: 1 binding row\n\
+  \      paths: engine counting, 1 source -> 1 binding, path multiplicity 16\n\
+  \      bfs: 9 hops, frontier sizes [1, 2, 1, 2, 1, 2, 1, 2, 1] (product states per hop)\n\
+  \      accum: 1 acc-execution, 1 merge op, 0 assigns\n\
+  \      output: 1 vertex set member\n\
    tractable class (Theorem 7.1): yes — polynomial-time evaluation under all-shortest-paths \
-   semantics\n\
-   compiled plan:\n\
-  \  plan: 5 ops\n\
-  \    accum-decl @pathCount\n\
-  \    select t | V:s -(E>*)- V:t | WHERE ((s.name == \"v0\") AND (t.name == \"v4\")) | ACCUM[1]\n\
-  \      dfa-product s -(E>*)- t\n\
-  \      where: pushed[s,t]\n\
-  \      accum: 1 stmts (locals 0)\n\
-  \      emit: vertex set t\n\n\
+   semantics\n\n\
    == execution telemetry ==\n\
    select blocks: 1\n\
    accumulator store: 1 merge ops, 0 assigns, 1 commits\n\
@@ -226,10 +218,10 @@ let test_explain_analyze_golden () =
   (* Analyze leaves the metrics registry the way it found it (disabled). *)
   Alcotest.(check bool) "metrics back off" false (Obs.Metrics.enabled ())
 
-(* EXPLAIN on a query shows the shape of the closure plan the catalog
-   installs (docs/COMPILER.md): op tree and per-SELECT kernel summary.
-   Compiled without a schema, so
-   segment resolution shows as deferred ([syms@invoke]). *)
+(* EXPLAIN on a query prints the closure plan the catalog installs
+   (docs/COMPILER.md): op tree and per-SELECT kernel summary.  Compiled
+   without a schema, so segment resolution shows as deferred
+   ([syms@invoke]). *)
 let explain_plan_src = {|
 CREATE QUERY Fanout (int rounds) {
   SumAccum<int> @@seen;
@@ -244,25 +236,18 @@ CREATE QUERY Fanout (int rounds) {
 
 let explain_plan_golden =
   "query Fanout(rounds) [semantics: all-shortest (default)]\n\
-   declare @@seen: SumAccum<int>\n\
-   WHILE (i < rounds): accumulators carry state across iterations\n\
-  \  SELECT block (binds S):\n\
-  \  pattern 1: s -(E>)- t\n\
-  \    single step -> direct adjacency scan (binds edge variables)\n\
-  \  accum: one execution per binding row (multiplicity-weighted) -> {@@seen}\n\
-   tractable class (Theorem 7.1): yes — polynomial-time evaluation under all-shortest-paths \
-   semantics\n\
-   compiled plan:\n\
-  \  plan: 9 ops\n\
-  \    accum-decl @@seen\n\
+   plan: 9 ops\n\
+  \  accum-decl @@seen: SumAccum<int>\n\
+  \  let i\n\
+  \  while (i < rounds)\n\
+  \    select t | V:s -(E>)- V:t | ACCUM[1]\n\
+  \      step s -(E>)- t [syms@invoke]\n\
+  \      accum: 1 stmts (locals 0) -> {@@seen}\n\
+  \      emit: vertex set t\n\
   \    let i\n\
-  \    while (i < rounds)\n\
-  \      select t | V:s -(E>)- V:t | ACCUM[1]\n\
-  \        step s -(E)- t [syms@invoke]\n\
-  \        accum: 1 stmts (locals 0)\n\
-  \        emit: vertex set t\n\
-  \      let i\n\
-  \    print @@seen\n"
+  \  print @@seen\n\
+   tractable class (Theorem 7.1): yes — polynomial-time evaluation under all-shortest-paths \
+   semantics\n"
 
 let test_explain_plan_golden () =
   let q = P.parse_query explain_plan_src in
