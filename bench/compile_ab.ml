@@ -2,7 +2,9 @@
 
    Runs the shipped parameterized queries (khop, common_friends,
    multigroup_gs — Appendix B's accumulator multi-grouping — and
-   likes_by_city_year, one of its grouping sets as a GROUP BY) over an
+   likes_by_city_year, one of its grouping sets as a GROUP BY) and two of
+   the served IC queries (IC1, a single-source counting match, and IC9,
+   an ORDER BY … LIMIT over ~1,900 rows at the default scale) over an
    SNB graph through both execution paths — the Eval tree-walker and the
    install-time closure plan — on a single thread, comparing cached-miss
    invoke latency.  Both paths must return byte-identical results (the
@@ -10,7 +12,8 @@
    aborts on any divergence before it prints a number.
 
    Environment:
-     COMPILE_SF    SNB scale factor (default 0.1)
+     COMPILE_SF    SNB scale factor (default 1.0: IC9 then sorts ~1,900
+                   rows; at 0.1 it sorts ~200)
      COMPILE_RUNS  runs per median (default 5)
      BENCH_JSON    directory for the BENCH_compile.json sidecar, with
                    per-query interp_ms / compiled_ms / speedup /
@@ -23,21 +26,30 @@ module G = Pgraph.Graph
 module J = Obs.Json
 
 type case = {
-  c_file : string;
-  c_params : (string * V.t) list;
+  c_source : [ `File of string | `Ic of Ldbc.Ic.name * int * string ];
+      (* a queries/ file, or an Ldbc.Ic block wrapped as an installed
+         query: (IC, hops, non-person parameter declaration) *)
+  c_params : Ldbc.Snb.t -> (string * V.t) list;
 }
 
 let cases =
-  [ { c_file = "khop.gsql";
-      c_params = [ ("firstName", V.Str "Jan"); ("hops", V.Int 2) ] };
-    { c_file = "common_friends.gsql";
-      c_params = [ ("nameA", V.Str "Jan"); ("nameB", V.Str "Maria") ] };
-    { c_file = "multigroup_gs.gsql";
-      c_params = [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012) ] };
-    { c_file = "likes_by_city_year.gsql";
+  [ { c_source = `File "khop.gsql";
+      c_params = (fun _ -> [ ("firstName", V.Str "Jan"); ("hops", V.Int 2) ]) };
+    { c_source = `File "common_friends.gsql";
+      c_params = (fun _ -> [ ("nameA", V.Str "Jan"); ("nameB", V.Str "Maria") ]) };
+    { c_source = `File "multigroup_gs.gsql";
+      c_params = (fun _ -> [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012) ]) };
+    { c_source = `File "likes_by_city_year.gsql";
       c_params =
-        [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012); ("minLikes", V.Int 2);
-          ("topK", V.Int 20) ] } ]
+        (fun _ ->
+          [ ("yearLo", V.Int 2010); ("yearHi", V.Int 2012); ("minLikes", V.Int 2);
+            ("topK", V.Int 20) ]) };
+    (* IC1: a single-source KNOWS*1..2 through the counting kernel. *)
+    { c_source = `Ic (Ldbc.Ic.Ic1, 2, "STRING targetName");
+      c_params = (fun snb -> Ldbc.Ic.default_params snb ~seed:1 Ldbc.Ic.Ic1) };
+    (* IC9: ORDER BY … LIMIT 20 over every comment of a 3-hop circle. *)
+    { c_source = `Ic (Ldbc.Ic.Ic9, 3, "DATETIME maxDate");
+      c_params = (fun snb -> Ldbc.Ic.default_params snb ~seed:1 Ldbc.Ic.Ic9) } ]
 
 let getenv_float name default =
   match Sys.getenv_opt name with
@@ -67,7 +79,7 @@ let fingerprint (r : Gsql.Eval.result) =
         r.Gsql.Eval.r_vsets)
 
 let run () =
-  let sf = getenv_float "COMPILE_SF" 0.1 in
+  let sf = getenv_float "COMPILE_SF" 1.0 in
   let runs = Util.getenv_int "COMPILE_RUNS" 5 in
   let t = Ldbc.Snb.generate ~sf () in
   let graph = t.Ldbc.Snb.graph in
@@ -77,11 +89,19 @@ let run () =
     List.split
       (List.map
          (fun c ->
-           let src = read_file (Filename.concat dir c.c_file) in
+           let src =
+             match c.c_source with
+             | `File f -> read_file (Filename.concat dir f)
+             | `Ic (ic, hops, param) ->
+               (* The same wrapping as bench/e2e/workload.ml's ic_source. *)
+               let name = String.capitalize_ascii (Ldbc.Ic.name_to_string ic) in
+               Printf.sprintf "CREATE QUERY %s (VERTEX<Person> p, %s) {\n%s}\n" name param
+                 (Ldbc.Ic.source ic ~hops)
+           in
            let q = Gsql.Parser.parse_query src in
            let name = q.Gsql.Ast.q_name in
            let plan = Gsql.Compile.compile ~schema:(G.schema graph) q in
-           let params = c.c_params in
+           let params = c.c_params t in
            let interp () = Gsql.Eval.run_query graph ~params q in
            let compiled () = Gsql.Compile.run plan ~params graph in
            let ri = interp () and rc = compiled () in

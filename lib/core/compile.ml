@@ -949,14 +949,101 @@ type cout = {
   co_aliases : string list;
   co_slots : [ `V of int | `E of int ] list;
   co_bad_alias : string option;
-  co_exprs : rx list;
+  co_exprs : rx array;
   co_having : (renv -> bool) option;
-  co_order : ((renv -> V.t) * bool) list;
+  co_keys : rx array;  (* ORDER BY keys that bind only this output's aliases *)
+  co_desc : bool array;
 }
 
-(* Stable sort on precomputed ORDER BY keys. *)
-let sort_by_keys keyed =
-  List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> E.compare_keys ka kb) keyed)
+(* ORDER BY … LIMIT k as a streaming bounded selection: the first [k]
+   items of the offered stream under the stable sort by their keys,
+   holding at most [k] of them at a time.  Until [k] items have arrived
+   they are appended; from the first overflow on the slots are a max-heap
+   on (keys, arrival index), and an item enters only by evicting the
+   current worst.  Ties break on arrival index, so the result is exactly
+   Eval's stable sort followed by truncation.  Without keys the first [k]
+   arrivals win outright and no heap is built. *)
+module Topk = struct
+  type 'a entry = { keys : V.t array; seq : int; item : 'a }
+
+  type 'a t = {
+    desc : bool array;  (* per ORDER BY key: descending? *)
+    k : int;
+    mutable slots : 'a entry array;
+    mutable n : int;
+    mutable seq : int;
+    mutable heap : bool;
+  }
+
+  let create ~desc k = { desc; k = max 0 k; slots = [||]; n = 0; seq = 0; heap = false }
+
+  let cmp desc (a : _ entry) (b : _ entry) =
+    let rec go i =
+      if i = Array.length desc then Int.compare a.seq b.seq
+      else
+        let c = V.compare a.keys.(i) b.keys.(i) in
+        if c <> 0 then if desc.(i) then -c else c else go (i + 1)
+    in
+    go 0
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 in
+    if l < t.n then begin
+      let a = t.slots in
+      let m = if l + 1 < t.n && cmp t.desc a.(l + 1) a.(l) > 0 then l + 1 else l in
+      if cmp t.desc a.(m) a.(i) > 0 then begin
+        let x = a.(i) in
+        a.(i) <- a.(m);
+        a.(m) <- x;
+        sift_down t m
+      end
+    end
+
+  let offer t keys item =
+    let e = { keys; seq = t.seq; item } in
+    t.seq <- t.seq + 1;
+    if t.n < t.k then begin
+      if t.n = Array.length t.slots then begin
+        let a = Array.make (min t.k (max 16 (2 * t.n))) e in
+        Array.blit t.slots 0 a 0 t.n;
+        t.slots <- a
+      end;
+      t.slots.(t.n) <- e;
+      t.n <- t.n + 1
+    end
+    else if t.k > 0 && Array.length t.desc > 0 then begin
+      if not t.heap then begin
+        for i = (t.n / 2) - 1 downto 0 do
+          sift_down t i
+        done;
+        t.heap <- true
+      end;
+      if cmp t.desc e t.slots.(0) < 0 then begin
+        t.slots.(0) <- e;
+        sift_down t 0
+      end
+    end
+
+  let held t = Array.length t.slots
+
+  let items t =
+    let a = Array.sub t.slots 0 t.n in
+    if Array.length t.desc > 0 then Array.stable_sort (cmp t.desc) a;
+    Array.fold_right (fun e acc -> e.item :: acc) a []
+end
+
+(* LIMIT's value, evaluated before the rows stream through a {!Topk}.
+   Eval evaluates it only after every row's keys and projections, so a
+   failure here is handed back to be raised after theirs. *)
+let eval_limit climit env =
+  match climit with
+  | None -> (max_int, None)
+  | Some cl -> (
+    match V.to_int (cl env) with
+    | n -> (n, None)
+    | exception e -> (0, Some e))
+
+let split_order keys = (Array.of_list (List.map fst keys), Array.of_list (List.map snd keys))
 
 let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     (b : Ast.select_block) : op =
@@ -1107,13 +1194,14 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
       Option.map (compile_bool psc) b.Ast.s_having
     | Ast.Sel_outputs _ -> None
   in
-  let corder_v =
+  let vkeys, vdesc =
     match b.Ast.s_target with
     | Ast.Sel_vertices (_, alias, _) ->
       let psc = scope schema [ B_probe alias ] in
-      List.map (fun (e, desc) -> (compile_expr psc e, desc)) b.Ast.s_order_by
-    | Ast.Sel_outputs _ -> []
+      split_order (List.map (fun (e, desc) -> (compile_expr psc e, desc)) b.Ast.s_order_by)
+    | Ast.Sel_outputs _ -> ([||], [||])
   in
+  let ordered = b.Ast.s_order_by <> [] || climit <> None in
   (* GROUP BY outputs: keys in the row scope; HAVING, ORDER BY and the
      outputs in the group scope, where aggregate calls fold the group's
      rows and other leaves read its first row. *)
@@ -1125,9 +1213,10 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   let gsc = { row_sc with sc_groups = true } in
   let gkeys = Array.of_list (List.map (compile_expr row_sc) b.Ast.s_group_by) in
   let ghaving = if grouped then Option.map (compile_bool gsc) b.Ast.s_having else None in
-  let gorder =
-    if grouped then List.map (fun (e, desc) -> (compile_expr gsc e, desc)) b.Ast.s_order_by
-    else []
+  let gkeys_order, gdesc =
+    if grouped then
+      split_order (List.map (fun (e, desc) -> (compile_expr gsc e, desc)) b.Ast.s_order_by)
+    else ([||], [||])
   in
   let gouts =
     List.map
@@ -1161,22 +1250,18 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
           groups
     in
     let groups =
-      match gorder with
-      | [] -> groups
-      | keys ->
-        sort_by_keys
-          (List.map
-             (fun g ->
-               enter g;
-               (List.map (fun (ck, desc) -> (ck env, desc)) keys, g))
-             groups)
-    in
-    let groups =
-      match climit with
-      | None -> groups
-      | Some cl ->
-        let n = V.to_int (cl env) in
-        List.filteri (fun i _ -> i < n) groups
+      if not ordered then groups
+      else begin
+        let k, limit_err = eval_limit climit env in
+        let top = Topk.create ~desc:gdesc k in
+        List.iter
+          (fun g ->
+            enter g;
+            Topk.offer top (eval_array gkeys_order env) g)
+          groups;
+        Option.iter raise limit_err;
+        Topk.items top
+      end
     in
     List.iter
       (fun (o, cols, cexprs) ->
@@ -1232,17 +1317,20 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
                   (E.expr_aliases v_aliases e_aliases key))
               b.Ast.s_order_by
           in
+          let keys, desc =
+            split_order
+              (List.map (fun (e, desc) -> (compile_expr csc e, desc)) applicable_order)
+          in
           { co_spec = o;
             co_cols = List.map E.column_name o.Ast.o_exprs;
             co_aliases = aliases;
             co_slots = slots;
             co_bad_alias = !bad;
-            co_exprs = List.map (fun (e, _) -> compile_expr csc e) o.Ast.o_exprs;
+            co_exprs =
+              Array.of_list (List.map (fun (e, _) -> compile_expr csc e) o.Ast.o_exprs);
             co_having = Option.map (compile_bool csc) b.Ast.s_having;
-            co_order =
-              List.map
-                (fun (e, desc) -> (compile_expr csc e, desc))
-                applicable_order })
+            co_keys = keys;
+            co_desc = desc })
         outputs
   in
   let exec_outputs env bt =
@@ -1273,22 +1361,18 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
           ib_contents b2
       in
       let vids =
-        match corder_v with
-        | [] -> vids
-        | keys ->
-          Array.to_list vids
-          |> List.map (fun v ->
-                 env.probe <- v;
-                 (List.map (fun (ck, desc) -> (ck env, desc)) keys, v))
-          |> sort_by_keys |> Array.of_list
-      in
-      let vids =
-        match climit with
-        | None -> vids
-        | Some cl ->
-          let n = V.to_int (cl env) in
-          if Array.length vids <= n then vids
-          else Array.sub vids 0 (max 0 n)
+        if not ordered then vids
+        else begin
+          let k, limit_err = eval_limit climit env in
+          let top = Topk.create ~desc:vdesc k in
+          Array.iter
+            (fun v ->
+              env.probe <- v;
+              Topk.offer top (eval_array vkeys env) v)
+            vids;
+          Option.iter raise limit_err;
+          Array.of_list (Topk.items top)
+        end
       in
       if Obs.Trace.enabled () then
         Obs.Trace.set_attr "out_vertices" (Obs.Json.Int (Array.length vids));
@@ -1302,65 +1386,47 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
           (match o.co_bad_alias with
            | Some a -> E.error "unknown alias %s in SELECT" a
            | None -> ());
-          let combos =
-            if o.co_aliases = [] then [ [||] ]  (* pure-global: one row *)
-            else begin
-              let seen = Hashtbl.create 64 in
-              let out = ref [] in
-              for r = 0 to bt.f_n - 1 do
-                let vals =
-                  List.map
-                    (function
-                      | `V i -> bt.f_data.((r * bt.f_stride) + i)
-                      | `E i -> bt.f_data.((r * bt.f_stride) + bt.f_nv + i))
-                    o.co_slots
-                in
-                if List.for_all (fun v -> v >= 0) vals
-                   && not (Hashtbl.mem seen vals)
-                then begin
-                  Hashtbl.add seen vals ();
-                  out := Array.of_list vals :: !out
-                end
-              done;
-              List.rev !out
-            end
+          (* Each distinct combo streams through HAVING, its projection
+             and its keys into the selection; only the rows it keeps stay
+             live.  Eval evaluates every HAVING, then every projection,
+             then every key, then LIMIT, so a projection or key failure is
+             held back (the first of each kind) and raised in that order
+             once the stream ends: the same first error as Eval's, even
+             when the failing row is one LIMIT discards. *)
+          let k, limit_err = eval_limit climit env in
+          let top = Topk.create ~desc:o.co_desc k in
+          let proj_err = ref None and key_err = ref None in
+          let emit c =
+            env.combo <- c;
+            if match o.co_having with None -> true | Some pred -> pred env then
+              match eval_array o.co_exprs env with
+              | exception e -> if !proj_err = None then proj_err := Some e
+              | row -> (
+                match eval_array o.co_keys env with
+                | exception e -> if !key_err = None then key_err := Some e
+                | keys ->
+                  if !proj_err = None && !key_err = None then Topk.offer top keys row)
           in
-          let combos =
-            match o.co_having with
-            | None -> combos
-            | Some pred ->
-              List.filter
-                (fun c ->
-                  env.combo <- c;
-                  pred env)
-                combos
-          in
-          let rows =
-            List.map
-              (fun c ->
-                env.combo <- c;
-                (Array.of_list (List.map (fun ce -> ce env) o.co_exprs), c))
-              combos
-          in
-          let rows =
-            match o.co_order with
-            | [] -> rows
-            | keys ->
-              sort_by_keys
-                (List.map
-                   (fun (row, c) ->
-                     env.combo <- c;
-                     (List.map (fun (ck, desc) -> (ck env, desc)) keys, (row, c)))
-                   rows)
-          in
-          let rows =
-            match climit with
-            | None -> rows
-            | Some cl ->
-              let n = V.to_int (cl env) in
-              List.filteri (fun i _ -> i < n) rows
-          in
-          E.bind_output env.ctx o.co_spec (Table.create o.co_cols (List.map fst rows)))
+          if o.co_aliases = [] then emit [||]  (* pure-global: one row *)
+          else begin
+            let seen = Hashtbl.create 64 in
+            for r = 0 to bt.f_n - 1 do
+              let vals =
+                List.map
+                  (function
+                    | `V i -> bt.f_data.((r * bt.f_stride) + i)
+                    | `E i -> bt.f_data.((r * bt.f_stride) + bt.f_nv + i))
+                  o.co_slots
+              in
+              if List.for_all (fun v -> v >= 0) vals && not (Hashtbl.mem seen vals)
+              then begin
+                Hashtbl.add seen vals ();
+                emit (Array.of_list vals)
+              end
+            done
+          end;
+          List.iter (Option.iter raise) [ !proj_err; !key_err; limit_err ];
+          E.bind_output env.ctx o.co_spec (Table.create o.co_cols (Topk.items top)))
         couts
   in
   let exec_inner env =
@@ -1447,6 +1513,10 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     @ (if grouped then
          [ "group by: " ^ String.concat ", " (List.map Ast.expr_to_string b.Ast.s_group_by) ]
        else [])
+    @ (match b.Ast.s_limit, b.Ast.s_order_by with
+       | Some l, _ -> [ "order: top-k " ^ Ast.expr_to_string l ]
+       | None, _ :: _ -> [ "order: sort" ]
+       | None, [] -> [])
     @ [ (match b.Ast.s_target with
          | Ast.Sel_vertices (_, alias, _) -> "emit: vertex set " ^ alias
          | Ast.Sel_outputs outs ->

@@ -21,6 +21,27 @@
 
 type plan
 
+(** ORDER BY … LIMIT k as a streaming bounded selection, shared by the
+    vertex-set, table and GROUP BY outputs of a compiled SELECT. *)
+module Topk : sig
+  type 'a t
+
+  val create : desc:bool array -> int -> 'a t
+  (** [create ~desc k] selects the first [max 0 k] items; [desc.(i)] says
+      whether ORDER BY key [i] sorts descending ([[||]]: no ORDER BY). *)
+
+  val offer : 'a t -> Pgraph.Value.t array -> 'a -> unit
+  (** [offer t keys x] streams the next item with its ORDER BY key
+      values (in {!Pgraph.Value.compare} order, [desc] applied). *)
+
+  val items : 'a t -> 'a list
+  (** The selected items: exactly the first [k] of the stable sort of
+      every offered item by its keys (ties in arrival order). *)
+
+  val held : 'a t -> int
+  (** Item slots allocated so far — never more than [k]. *)
+end
+
 val compile : ?schema:Pgraph.Schema.t -> Ast.query -> plan
 (** Analyzes ({!Analyze.check_query}) and lowers the query.  Raises
     {!Eval.Runtime_error} when analysis fails.  When [schema] is given,

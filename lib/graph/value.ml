@@ -25,14 +25,31 @@ let constructor_rank = function
   | Vlist _ -> 7
   | Vtuple _ -> 8
 
+(* Floats in [-2^62, 2^62) truncate to an exact int. *)
+let int_range_lo = -4.611686018427387904e18
+let int_range_hi = 4.611686018427387904e18
+
+(* Exact order of an int against a float — [float_of_int] rounds above
+   2^53, which made [Int (2^53 + 1)] equal to [Float 2^53] and so broke
+   transitivity.  NaN sorts below every number, as [Stdlib.compare] puts
+   it below every float. *)
+let compare_int_float x f =
+  if Float.is_nan f then 1
+  else if f >= int_range_hi then -1
+  else if f < int_range_lo then 1
+  else
+    let t = Float.to_int f in
+    if x <> t then Stdlib.compare x t
+    else Stdlib.compare (float_of_int t) f
+
 let rec compare a b =
   match a, b with
   | Null, Null -> 0
   | Bool x, Bool y -> Stdlib.compare x y
   | Int x, Int y -> Stdlib.compare x y
   | Float x, Float y -> Stdlib.compare x y
-  | Int x, Float y -> Stdlib.compare (float_of_int x) y
-  | Float x, Int y -> Stdlib.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Str x, Str y -> Stdlib.compare x y
   | Datetime x, Datetime y -> Stdlib.compare x y
   | Vertex x, Vertex y -> Stdlib.compare x y
@@ -64,7 +81,12 @@ let rec hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
   | Int n -> Hashtbl.hash n
-  | Float f -> if Float.is_integer f && Float.abs f < 1e15 then Hashtbl.hash (int_of_float f) else Hashtbl.hash f
+  | Float f ->
+    (* Equal to some [Int] exactly when integral and in int range: hash
+       as that int, so [equal] implies the same hash at every magnitude. *)
+    if Float.is_integer f && f >= int_range_lo && f < int_range_hi then
+      Hashtbl.hash (Float.to_int f)
+    else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Datetime d -> 41 + (Hashtbl.hash d * 7)
   | Vertex v -> 43 + (v * 2654435761)

@@ -13,10 +13,13 @@
 
     The kernel runs over the {!Pgraph.Csr} frozen adjacency index
     (obtained via the version-keyed [Csr.of_graph] memo): flat [int]
-    frontier arrays, one DFA transition per (edge-type, relation) segment,
-    and generation-stamped distance/count scratch reused across sources —
-    see docs/PERFORMANCE.md.  Bignat multiplicity accumulation, the
-    [paths.count.*] metrics and the per-hop governor checkpoints are
+    arrays, one DFA transition per (edge-type, relation) segment, and a
+    generation-stamped scratch kept once per domain — see
+    docs/PERFORMANCE.md.  One BFS queue records each product state when it
+    is first stamped; the collapse to per-vertex results walks only those
+    states, so after a domain's first run a source costs work in the
+    states it reaches, not in |V|·|Q|.  Bignat multiplicity accumulation,
+    the [paths.count.*] metrics and the per-hop governor checkpoints are
     unchanged from the original list-frontier engine, which survives as
     {!single_source_legacy} for differential testing. *)
 
@@ -31,19 +34,31 @@ type source_result = {
 }
 
 type scratch
-(** Reusable BFS working state (frontier arrays plus generation-stamped
-    distance/count arrays sized |V|·|Q|).  Passing one scratch across many
-    {!single_source} calls skips the per-source O(|V|·|Q|) allocation and
-    clearing.  A scratch must not be shared between domains — the parallel
-    per-source engine creates one per worker. *)
+(** BFS working state: generation-stamped distance/count arrays and a
+    queue sized |V|·|Q|, plus per-vertex collapse arrays sized |V|, grown
+    on demand and never cleared.  Every function below without a
+    [?scratch] argument (and [single_source] without one) runs on a
+    scratch kept per domain ([Domain.DLS]), so the arrays are allocated
+    once per domain rather than once per call; a run nested inside a
+    callback of another run on the same domain gets a fresh scratch.  A
+    scratch passed explicitly must not be shared between domains. *)
 
 val create_scratch : unit -> scratch
 
+val iter_reached :
+  ?scratch:scratch -> Pgraph.Graph.t -> Darpe.Dfa.t -> int ->
+  (int -> int -> Pgraph.Bignat.t -> unit) -> unit
+(** [iter_reached g dfa s f] calls [f t dist count] for every vertex [t]
+    with a satisfying path from [s], in ascending [t]: [dist] is the
+    length of the shortest one and [count] the number of shortest ones.
+    The sparse form of {!single_source}: besides the BFS it allocates
+    only the reached-vertex list. *)
+
 val single_source : ?scratch:scratch -> Pgraph.Graph.t -> Darpe.Dfa.t -> int -> source_result
 (** [single_source g dfa s] solves the single-source SDMC flavor: counts of
-    shortest satisfying paths from [s] to every vertex.
-    Complexity O((|V| + |E|)·|DFA|) BFS steps plus big-number additions.
-    [scratch] defaults to a fresh one. *)
+    shortest satisfying paths from [s] to every vertex — {!iter_reached}
+    spread into dense |V|-sized arrays.
+    Complexity O((|V| + |E|)·|DFA|) BFS steps plus big-number additions. *)
 
 val single_source_legacy : Pgraph.Graph.t -> Darpe.Dfa.t -> int -> source_result
 (** The pre-CSR reference kernel (Vec-of-half adjacency, list frontiers).
@@ -59,7 +74,7 @@ val single_pair : Pgraph.Graph.t -> Darpe.Dfa.t -> int -> int -> (int * Pgraph.B
 val all_pairs :
   Pgraph.Graph.t -> Darpe.Dfa.t -> sources:int array ->
   (int -> int -> int -> Pgraph.Bignat.t -> unit) -> unit
-(** [all_pairs g dfa ~sources f] runs {!single_source} for each source and
+(** [all_pairs g dfa ~sources f] runs {!iter_reached} for each source and
     calls [f src dst dist count] for every reachable pair.  This is the
     all-paths SDMC flavor restricted to the given sources (pass every vertex
     for the unrestricted flavor). *)

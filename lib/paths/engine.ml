@@ -56,29 +56,25 @@ let m_fanout_joined = Obs.Metrics.counter "paths.engine.fanout.joined"
 let fanout_threshold = 4
 
 (* Per-source counting work for one slice of the source array, bindings
-   accumulated newest-first (the order the sequential loop produced). *)
+   accumulated newest-first (the order the sequential loop produced).
+   The kernel hands over only the reached targets, in ascending vertex
+   order, and runs on its domain's scratch. *)
 let count_slice g dfa ~mult_of ~dst_ok (sources : int array) (offset, len) =
-  let scratch = Count.create_scratch () in
   let out = ref [] in
   for i = offset to offset + len - 1 do
     let src = sources.(i) in
     Interrupt.tick ();
-    let r = Count.single_source ~scratch g dfa src in
-    Array.iteri
-      (fun dst d ->
-        if d >= 0 && dst_ok dst then
-          out :=
-            { b_src = src; b_dst = dst; b_mult = mult_of r.Count.sr_count.(dst); b_dist = d }
-            :: !out)
-      r.Count.sr_dist
+    Count.iter_reached g dfa src (fun dst d c ->
+        if dst_ok dst then
+          out := { b_src = src; b_dst = dst; b_mult = mult_of c; b_dist = d } :: !out)
   done;
   !out
 
 (* Counting semantics fan sources out across domains: contiguous balanced
-   slices (the Accum.Parallel machinery), each worker owning a private BFS
-   scratch, under the caller's inherited Interrupt budget — the cancel
-   flag and step counter are shared atomics, so cancelling the caller
-   stops every slice.  Every spawned domain is joined even when a slice
+   slices (the Accum.Parallel machinery), each worker counting on its own
+   domain's BFS scratch, under the caller's inherited Interrupt budget —
+   the cancel flag and step counter are shared atomics, so cancelling the
+   caller stops every slice.  Every spawned domain is joined even when a slice
    raises (Interrupted included), so cancellation never leaks a domain;
    the first failure is re-raised after the joins.  The spawned/joined
    counters are the leak witness tests assert on.

@@ -1,6 +1,7 @@
 (* Shared graph fixtures for the evaluator/integration test suites and
-   examples: the paper's SalesGraph (Examples 1, 4, 5, 6) and a small web
-   graph for PageRank (Example 7). *)
+   examples: the paper's SalesGraph (Examples 1, 4, 5, 6), a small web
+   graph for PageRank (Example 7), and random mixed-direction graphs for
+   the counting kernel's properties. *)
 
 module S = Pgraph.Schema
 module G = Pgraph.Graph
@@ -108,3 +109,30 @@ let reference_pagerank g ~damping ~iterations =
         if G.out_degree g v > 0 then score.(v) <- 1.0 -. damping +. (damping *. received.(v)))
   done;
   score
+
+(* Random graph over three edge types — A, B directed, U undirected —
+   with self-loops and parallel edges allowed: the shapes the CSR segment
+   layout has to get right (an undirected self-loop stores one half-edge,
+   a directed one stores two on the same vertex). *)
+let mixed_schema () =
+  let s = S.create () in
+  ignore (S.add_vertex_type s "V" []);
+  ignore (S.add_edge_type s "A" ~directed:true []);
+  ignore (S.add_edge_type s "B" ~directed:true []);
+  ignore (S.add_edge_type s "U" ~directed:false []);
+  s
+
+let random_mixed seed nv ne =
+  let g = G.create (mixed_schema ()) in
+  for _ = 1 to nv do ignore (G.add_vertex g "V" []) done;
+  let rng = Pgraph.Prng.create seed in
+  let types = [| "A"; "B"; "U" |] in
+  for _ = 1 to ne do
+    let i = Pgraph.Prng.int rng nv and j = Pgraph.Prng.int rng nv in
+    ignore (G.add_edge g (Pgraph.Prng.choose rng types) i j [])
+  done;
+  g
+
+(* Fixed DARPEs over [mixed_schema]: Kleene stars, alternation across
+   directions and types, concatenation, bounds and the wildcard. *)
+let mixed_patterns = [ "A>*"; "(A>|B>)*"; "U*"; "A>.<B"; "(A>|<B|U)*1..4"; "_>*1..2" ]

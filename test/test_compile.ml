@@ -475,6 +475,204 @@ let test_error_parity () =
   run_both {|INSERT INTO E VALUES ("a");|} []
 
 (* ------------------------------------------------------------------ *)
+(* ORDER BY … LIMIT: the compiled bounded selection vs Eval's sort     *)
+
+(* Tie-heavy attributes: [b] is NULL or a Bool, [x] (FLOAT) mixes NULL,
+   Int and Float values, including ints around 2^53 that only an exact
+   Int/Float order keeps consistent, and [s] is NULL or one of three
+   strings. *)
+let order_graph seed nv =
+  let s = Pgraph.Schema.create () in
+  let _ =
+    Pgraph.Schema.add_vertex_type s "V"
+      [ ("name", Pgraph.Schema.T_string); ("b", Pgraph.Schema.T_bool);
+        ("x", Pgraph.Schema.T_float); ("s", Pgraph.Schema.T_string) ]
+  in
+  let _ = Pgraph.Schema.add_edge_type s "E" ~directed:true [] in
+  let g = G.create s in
+  let rng = Pgraph.Prng.create seed in
+  let p53 = 1 lsl 53 in
+  let pick a = a.(Pgraph.Prng.int rng (Array.length a)) in
+  for i = 0 to nv - 1 do
+    ignore
+      (G.add_vertex g "V"
+         [ ("name", V.Str (Printf.sprintf "n%02d" i));
+           ("b", pick [| V.Null; V.Bool true; V.Bool false |]);
+           ( "x",
+             pick
+               [| V.Null; V.Int 0; V.Int 1; V.Float 0.5; V.Float 1.0; V.Int p53;
+                  V.Int (p53 + 1); V.Float (float_of_int p53) |] );
+           ("s", pick [| V.Null; V.Str ""; V.Str "a"; V.Str "b" |]) ])
+  done;
+  for _ = 1 to nv * 3 do
+    ignore (G.add_edge g "E" (Pgraph.Prng.int rng nv) (Pgraph.Prng.int rng nv) [])
+  done;
+  g
+
+let random_order rng pool =
+  let n = 1 + Pgraph.Prng.int rng 3 in
+  String.concat ", "
+    (List.init n (fun _ ->
+         let k = pool.(Pgraph.Prng.int rng (Array.length pool)) in
+         k ^ if Pgraph.Prng.int rng 2 = 0 then " ASC" else " DESC"))
+
+(* One block per output kind; [%s] slots take ORDER BY and LIMIT. *)
+let order_blocks =
+  [ ( "vertex set",
+      [| "t.b"; "t.x"; "t.s" |],
+      format_of_string
+        {|R = SELECT t FROM V:s -(E>)- V:t ORDER BY %s%s;
+          PRINT R[R.name];|} );
+    ( "table",
+      [| "s.x"; "t.b"; "t.s"; "s.s"; "t.x" |],
+      format_of_string
+        {|SELECT s.name AS a, t.name AS b, t.x AS x INTO T
+          FROM V:s -(E>)- V:t ORDER BY %s%s;|} );
+    ( "group by",
+      [| "t.s"; "count(*)"; "min(s.x)"; "max(s.b)" |],
+      format_of_string
+        {|SELECT t.s AS k, count(*) AS c, min(s.x) AS m INTO G
+          FROM V:s -(E>)- V:t GROUP BY t.s ORDER BY %s%s;|} ) ]
+
+let result_rows (r : E.result) =
+  match r.E.r_tables, r.E.r_vsets with
+  | (_, t) :: _, _ -> List.length t.Gsql.Table.rows
+  | [], (_, vs) :: _ -> Array.length vs
+  | [], [] -> 0
+
+let prop_order_limit =
+  QCheck.Test.make ~name:"ORDER BY ... LIMIT: compiled top-k = Eval's sort" ~count:40
+    (QCheck.pair QCheck.small_int (QCheck.int_range 3 14))
+    (fun (seed, nv) ->
+      let rng = Pgraph.Prng.create ((seed * 7919) + nv) in
+      List.iter
+        (fun (kind, pool, fmt) ->
+          let order = random_order rng pool in
+          let mk () = order_graph seed nv in
+          let label lim = Printf.sprintf "%s ORDER BY %s%s (seed %d)" kind order lim seed in
+          let block lim = Printf.sprintf fmt order lim in
+          let n =
+            result_rows (E.run_block (mk ()) ~params:[] (Gsql.Parser.parse_block (block "")))
+          in
+          List.iter
+            (fun lim -> differential_block (label lim) mk (block lim))
+            [ ""; " LIMIT 0"; " LIMIT -1"; " LIMIT 1"; " LIMIT 3"; Printf.sprintf " LIMIT %d" n;
+              Printf.sprintf " LIMIT %d" (n + 2); Printf.sprintf " LIMIT %d" (max 0 (n - 1)) ];
+          let k = Pgraph.Prng.int rng (n + 2) in
+          differential_block (label " LIMIT lim") mk (block " LIMIT lim")
+            ~params:[ ("lim", V.Int k) ])
+        order_blocks;
+      true)
+
+(* The selection itself: the first k of a stable sort, never holding
+   more than k items. *)
+let prop_topk =
+  QCheck.Test.make ~name:"Topk = stable sort + truncation, at most k held" ~count:300
+    QCheck.(
+      triple (list_of_size Gen.(0 -- 60) (pair (int_range 0 4) (int_range 0 3)))
+        (int_range (-2) 70) (pair bool bool))
+    (fun (items, k, (d1, d2)) ->
+      let keys (a, b) = [| V.Int a; V.Int b |] in
+      let top = C.Topk.create ~desc:[| d1; d2 |] k in
+      List.iteri (fun i it -> C.Topk.offer top (keys it) (i, it)) items;
+      let sign d c = if d then -c else c in
+      let expect =
+        List.mapi (fun i it -> (i, it)) items
+        |> List.stable_sort (fun (_, (a1, b1)) (_, (a2, b2)) ->
+               let c = sign d1 (compare a1 a2) in
+               if c <> 0 then c else sign d2 (compare b1 b2))
+        |> List.filteri (fun i _ -> i < k)
+      in
+      C.Topk.items top = expect && C.Topk.held top <= max 0 k)
+
+(* EXPLAIN names the strategy: a bounded selection under LIMIT, a full
+   sort under ORDER BY alone, nothing otherwise. *)
+let test_order_describe () =
+  let order_line src =
+    let plan = C.compile_block (Gsql.Parser.parse_block src) in
+    List.filter
+      (fun l -> String.length l > 6 && String.sub l 0 6 = "order:")
+      (List.map String.trim (String.split_on_char '\n' (C.describe plan)))
+  in
+  let check label expect src = Alcotest.(check (list string)) label expect (order_line src) in
+  check "top-k" [ "order: top-k 20" ]
+    "SELECT t.name AS n INTO T FROM V:s -(E>)- V:t ORDER BY t.name DESC LIMIT 20;";
+  check "top-k, parameter" [ "order: top-k k" ]
+    "R = SELECT t FROM V:s -(E>)- V:t LIMIT k;";
+  check "sort" [ "order: sort" ]
+    "SELECT t.name AS n, count(*) AS c INTO G FROM V:s -(E>)- V:t GROUP BY t.name \
+     ORDER BY count(*) DESC;";
+  check "neither" [] "R = SELECT t FROM V:s -(E>)- V:t;"
+
+(* Error parity through the selection: Eval projects every row, then
+   evaluates every key, then LIMIT, so a failure on a row that LIMIT
+   discards must still surface — and the first one in that order. *)
+let error_graph () =
+  let s = Pgraph.Schema.create () in
+  let _ =
+    Pgraph.Schema.add_vertex_type s "V"
+      [ ("name", Pgraph.Schema.T_string); ("i", Pgraph.Schema.T_int);
+        ("s", Pgraph.Schema.T_string) ]
+  in
+  let _ = Pgraph.Schema.add_edge_type s "E" ~directed:true [] in
+  let g = G.create s in
+  (* n0 is the hub; n1 divides by zero, n2 has [i] = 3 and n3 a NULL
+     string. *)
+  List.iter
+    (fun (name, i, str) ->
+      ignore (G.add_vertex g "V" [ ("name", V.Str name); ("i", V.Int i); ("s", str) ]))
+    [ ("n0", 1, V.Str "a"); ("n1", 0, V.Str "b"); ("n2", 3, V.Str "c"); ("n3", 2, V.Null) ];
+  List.iter (fun t -> ignore (G.add_edge g "E" 0 t [])) [ 3; 1; 2 ];
+  g
+
+let run_both_on g src params =
+  let stmts = Gsql.Parser.parse_block src in
+  let outcome f = try `Ok (f ()) with E.Runtime_error m -> `Err m in
+  let interp = outcome (fun () -> E.run_block g ~params stmts) in
+  let compiled =
+    outcome (fun () -> C.run (C.compile_block ~schema:(G.schema g) stmts) ~params g)
+  in
+  match (interp, compiled) with
+  | `Err a, `Err b -> Alcotest.(check string) ("error: " ^ src) a b
+  | `Ok a, `Ok b -> check_results src a b
+  | `Err m, `Ok _ -> Alcotest.failf "interp failed (%s), compiled ok: %s" m src
+  | `Ok _, `Err m -> Alcotest.failf "compiled failed (%s), interp ok: %s" m src
+
+let test_order_limit_error_parity () =
+  let g = error_graph () in
+  let table proj order limit =
+    Printf.sprintf
+      "SELECT t.name AS n, %s AS v INTO T FROM V:s -(E>)- V:t ORDER BY %s LIMIT %s;" proj
+      order limit
+  in
+  let cases =
+    [ (* Rows arrive as t = n2, n1, n3.  Only the discarded row n1 fails
+         its projection / its key. *)
+      table "10 / t.i" "t.name DESC" "1";
+      table "t.i" "10 / t.i ASC" "0";
+      (* The key fails on the first row (n2), projections on n1 (divide)
+         and n3 (NULL + string): n1's projection error is Eval's first. *)
+      "SELECT t.name AS n, 10 / t.i AS v, t.s + \"x\" AS w INTO T FROM V:s -(E>)- V:t \
+       ORDER BY t.i % (t.i - 3) ASC LIMIT 1;";
+      (* A failing LIMIT loses to a key failure, and stands alone. *)
+      table "t.i" "10 / t.i ASC" "lim";
+      table "t.i" "t.name ASC" "lim";
+      (* No ORDER BY: a projection failing past the LIMIT. *)
+      "SELECT t.name AS n, 10 / t.i AS v INTO T FROM V:s -(E>)- V:t LIMIT 1;";
+      (* Vertex set and GROUP BY keys failing on discarded members. *)
+      "R = SELECT t FROM V:s -(E>)- V:t ORDER BY 10 / t.i ASC LIMIT 1;";
+      "R = SELECT t FROM V:s -(E>)- V:t ORDER BY t.name ASC LIMIT lim;";
+      "SELECT t.name AS n, count(*) AS c INTO G FROM V:s -(E>)- V:t GROUP BY t.name \
+       ORDER BY 10 / min(t.i) ASC LIMIT 1;";
+      (* GROUP BY projects only the kept groups, as Eval does. *)
+      "SELECT t.name AS n, 10 / min(t.i) AS c INTO G FROM V:s -(E>)- V:t GROUP BY t.name \
+       ORDER BY t.name DESC LIMIT 2;" ]
+  in
+  List.iter (fun src -> run_both_on g src [ ("lim", V.Str "x") ]) cases;
+  (* And with a usable LIMIT the same blocks agree on results or errors. *)
+  List.iter (fun src -> run_both_on g src [ ("lim", V.Int 2) ]) cases
+
+(* ------------------------------------------------------------------ *)
 (* Attribute slots resolved at install time                           *)
 
 (* Two vertex types holding [age] and [name] at different positions, and
@@ -812,6 +1010,9 @@ let () =
           Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest prop_random_darpe ] );
+      ( "order-limit",
+        List.map QCheck_alcotest.to_alcotest [ prop_order_limit; prop_topk ]
+        @ [ Alcotest.test_case "describe names the strategy" `Quick test_order_describe ] );
       ( "identity fold",
         [ Alcotest.test_case "*0..0 differential" `Quick test_identity_fold ] );
       ( "governor",
@@ -821,7 +1022,9 @@ let () =
       ( "mutation",
         [ Alcotest.test_case "attr writes" `Quick test_attr_write_parity ] );
       ( "errors",
-        [ Alcotest.test_case "error parity" `Quick test_error_parity ] );
+        [ Alcotest.test_case "error parity" `Quick test_error_parity;
+          Alcotest.test_case "order by / limit error parity" `Quick
+            test_order_limit_error_parity ] );
       ( "attributes",
         [ Alcotest.test_case "install-time slots" `Quick test_attr_slots ] );
       ( "snapshot",

@@ -2,15 +2,15 @@
    structural invariants, differential properties against the legacy
    list-frontier kernel (mixed directed/undirected/multi-type random
    graphs), sequential/parallel engine equivalence, cancellation without
-   domain leaks, and version-cache invalidation (in-place mutation and the
-   MVCC publish protocol). *)
+   domain leaks, version-cache invalidation (in-place mutation and the
+   MVCC publish protocol), and the kernel's allocation bound once its
+   domain scratch is warm. *)
 
 module G = Pgraph.Graph
 module C = Pgraph.Csr
 module B = Pgraph.Bignat
 module S = Pgraph.Schema
 module V = Pgraph.Value
-module R = Pgraph.Prng
 module Sem = Pathsem.Semantics
 module T = Pathsem.Toygraphs
 module P = Service.Protocol
@@ -18,30 +18,8 @@ module P = Service.Protocol
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
 
-(* Random graph over three edge types — A, B directed, U undirected —
-   with self-loops allowed: the shapes the CSR segment layout has to get
-   right (an undirected self-loop stores one half-edge, a directed one
-   stores two on the same vertex). *)
-let mixed_schema () =
-  let s = S.create () in
-  ignore (S.add_vertex_type s "V" []);
-  ignore (S.add_edge_type s "A" ~directed:true []);
-  ignore (S.add_edge_type s "B" ~directed:true []);
-  ignore (S.add_edge_type s "U" ~directed:false []);
-  s
-
-let random_mixed seed nv ne =
-  let g = G.create (mixed_schema ()) in
-  for _ = 1 to nv do ignore (G.add_vertex g "V" []) done;
-  let rng = R.create seed in
-  let types = [| "A"; "B"; "U" |] in
-  for _ = 1 to ne do
-    let i = R.int rng nv and j = R.int rng nv in
-    ignore (G.add_edge g (R.choose rng types) i j [])
-  done;
-  g
-
-let patterns = [ "A>*"; "(A>|B>)*"; "U*"; "A>.<B"; "(A>|<B|U)*1..4"; "_>*1..2" ]
+let random_mixed = Testkit.Fixtures.random_mixed
+let patterns = Testkit.Fixtures.mixed_patterns
 
 (* ------------------------------------------------------------------ *)
 (* Structure                                                           *)
@@ -118,8 +96,9 @@ let prop_csr_equals_legacy =
           let dfa = Pathsem.Engine.compile g (Darpe.Parse.parse pat) in
           let scratch = Pathsem.Count.create_scratch () in
           for src = 0 to nv - 1 do
-            (* Alternate fresh and reused scratch so generation stamping
-               across sources is exercised too. *)
+            (* Alternate a caller's scratch and this domain's, both
+               reused across sources, so generation stamping is
+               exercised on each. *)
             let fast =
               if src mod 2 = 0 then Pathsem.Count.single_source ~scratch g dfa src
               else Pathsem.Count.single_source g dfa src
@@ -343,6 +322,54 @@ let test_csr_build_latch () =
   Alcotest.(check bool) "waits counted, never negative" true
     (json_int "build_waits" (C.cache_stats ()) >= waits0)
 
+(* ------------------------------------------------------------------ *)
+(* Output-sensitive kernel: work in the reached states, not |V|·|Q|     *)
+
+(* Words this domain allocated so far: minor-heap allocations plus those
+   made directly in the major heap (promotions counted once).
+   [Gc.minor_words] is exact; the minor count of [Gc.counters] is not. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_single_source_allocation () =
+  (* IC1's pattern and source on the served ic-read graph.  Once this
+     domain's scratch, the CSR index and the DFA exist, a single-source
+     match allocates only its bindings, the reached-vertex list and the
+     Bignat sums of merged counts: fewer words than there are vertices (a
+     fresh scratch alone would be 5·|V|·|Q|). *)
+  let snb = Ldbc.Snb.generate ~sf:3.0 () in
+  let g = snb.Ldbc.Snb.graph in
+  let nv = G.n_vertices g in
+  let ast = Darpe.Parse.parse "KNOWS*1..2" in
+  let run src =
+    Pathsem.Engine.match_pairs ~workers:1 g ast Sem.All_shortest ~sources:[| src |]
+      ~dst_ok:(fun _ -> true)
+  in
+  ignore (run snb.Ldbc.Snb.persons.(1));
+  let src =
+    match Ldbc.Ic.default_params snb ~seed:0 Ldbc.Ic.Ic1 with
+    | (_, V.Vertex p) :: _ -> p
+    | _ -> Alcotest.fail "IC1 parameters start with the person"
+  in
+  let before = allocated_words () in
+  let bindings = run src in
+  let words = allocated_words () -. before in
+  Alcotest.(check bool) "reaches someone" true (bindings <> []);
+  if words >= float_of_int nv then
+    Alcotest.failf "single-source match allocated %.0f words, |V| = %d (%d bindings)" words nv
+      (List.length bindings);
+  (* Same answer as the dense form. *)
+  let dfa = Pathsem.Engine.compile g ast in
+  let r = Pathsem.Count.single_source g dfa src in
+  let dense =
+    List.filter_map
+      (fun t -> if r.Pathsem.Count.sr_dist.(t) >= 0 then Some t else None)
+      (List.init nv Fun.id)
+  in
+  Alcotest.(check (list int)) "reached targets" dense
+    (List.rev_map (fun b -> b.Pathsem.Engine.b_dst) bindings)
+
 let () =
   Alcotest.run "csr"
     [ ( "structure",
@@ -359,4 +386,7 @@ let () =
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_gets_own_index;
           Alcotest.test_case "MVCC publish" `Quick test_mvcc_publish_invalidates ] );
       ( "csr latch",
-        [ Alcotest.test_case "concurrent builds coalesce" `Quick test_csr_build_latch ] ) ]
+        [ Alcotest.test_case "concurrent builds coalesce" `Quick test_csr_build_latch ] );
+      ( "sparse",
+        [ Alcotest.test_case "single source allocates < |V| words" `Quick
+            test_single_source_allocation ] ) ]

@@ -109,6 +109,71 @@ let prop_compare_transitive =
       let ( <= ) x y = V.compare x y <= 0 in
       not (a <= b && b <= c) || a <= c)
 
+(* Numerics where Int/Float comparison is delicate: within a few units
+   of ±2^53 (where doubles stop representing every int), of 2^62 (the
+   int range's edge) and of 10^15, plus halves and the non-finite
+   floats. *)
+let edge_numerics =
+  let near base =
+    List.concat_map
+      (fun d -> [ V.Int (base + d); V.Float (float_of_int (base + d)) ])
+      [ -3; -2; -1; 0; 1; 2; 3 ]
+  in
+  List.concat_map near [ 1 lsl 53; -(1 lsl 53); (1 lsl 62) - 4; 1_000_000_000_000_000 ]
+  @ List.map (fun n -> V.Float (float_of_int n +. 0.5)) [ -2; -1; 0; 1 ]
+  @ [ V.Int 0; V.Int 1; V.Int max_int; V.Int min_int; V.Float 4.611686018427387904e18;
+      V.Float (-4.611686018427387904e18); V.Float Float.infinity; V.Float Float.neg_infinity;
+      V.Float Float.nan; V.Float (-0.0) ]
+
+let gen_edge_numeric = QCheck.Gen.oneofl edge_numerics
+
+let prop_compare_transitive_edges =
+  QCheck.Test.make ~name:"compare transitive and antisymmetric near 2^53 and 2^62"
+    ~count:3000
+    (QCheck.make ~print:(fun (a, b, c) -> String.concat ", " (List.map V.to_string [ a; b; c ]))
+       QCheck.Gen.(triple gen_edge_numeric gen_edge_numeric gen_edge_numeric))
+    (fun (a, b, c) ->
+      let ( <= ) x y = V.compare x y <= 0 in
+      V.compare a b = - V.compare b a && ((not (a <= b && b <= c)) || a <= c))
+
+let prop_equal_same_hash =
+  QCheck.Test.make ~name:"equal values hash alike at every magnitude" ~count:3000
+    (QCheck.make ~print:(fun (a, b) -> V.to_string a ^ ", " ^ V.to_string b)
+       QCheck.Gen.(pair gen_edge_numeric gen_edge_numeric))
+    (fun (a, b) ->
+      (not (V.equal a b))
+      || (V.hash a = V.hash b && V.hash (V.Vtuple [| a |]) = V.hash (V.Vtuple [| b |])))
+
+(* The same laws, exhaustively over the edge pool. *)
+let test_edge_pool_laws () =
+  let cmp a b = V.compare a b in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if cmp a b <> - cmp b a then
+            Alcotest.failf "antisymmetry: %s vs %s" (V.to_string a) (V.to_string b);
+          if V.equal a b && V.hash a <> V.hash b then
+            Alcotest.failf "hash: %s = %s" (V.to_string a) (V.to_string b);
+          if cmp a b <= 0 then
+            List.iter
+              (fun c ->
+                if cmp b c <= 0 && cmp a c > 0 then
+                  Alcotest.failf "transitivity: %s <= %s <= %s" (V.to_string a)
+                    (V.to_string b) (V.to_string c))
+              edge_numerics)
+        edge_numerics)
+    edge_numerics
+
+let test_int_float_exact () =
+  let p53 = 1 lsl 53 in
+  check_bool "2^53+1 > 2^53 as float" true (V.compare (V.Int (p53 + 1)) (V.Float (float_of_int p53)) > 0);
+  check_int "2^53 = 2^53 as float" 0 (V.compare (V.Int p53) (V.Float (float_of_int p53)));
+  check_bool "max_int < 2^62" true (V.compare (V.Int max_int) (V.Float 4.611686018427387904e18) < 0);
+  check_int "min_int = -2^62" 0 (V.compare (V.Int min_int) (V.Float (-4.611686018427387904e18)));
+  check_bool "nan below ints" true (V.compare (V.Float Float.nan) (V.Int min_int) < 0);
+  check_int "1e15 hashes as int" (V.hash (V.Int 1_000_000_000_000_000)) (V.hash (V.Float 1e15))
+
 let () =
   Alcotest.run "value"
     [ ( "unit",
@@ -118,6 +183,10 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_arithmetic;
           Alcotest.test_case "arithmetic errors" `Quick test_arithmetic_errors;
           Alcotest.test_case "hash/equal" `Quick test_hash_consistent_with_equal;
+          Alcotest.test_case "int/float exact" `Quick test_int_float_exact;
+          Alcotest.test_case "edge-pool order laws" `Quick test_edge_pool_laws;
           Alcotest.test_case "rendering" `Quick test_rendering;
           Alcotest.test_case "datetime" `Quick test_datetime ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_compare_transitive ]) ]
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_compare_transitive; prop_compare_transitive_edges; prop_equal_same_hash ] ) ]
