@@ -11,7 +11,9 @@
    (d) Multiplicity shortcut: evaluating ACCUM once with µ-scaled input vs
        the µ-repetition semantics it replaces (Theorem 7.1's core trick). *)
 
+module G = Pgraph.Graph
 module V = Pgraph.Value
+module Store = Accum.Store
 module Spec = Accum.Spec
 module Acc = Accum.Acc
 module B = Pgraph.Bignat
@@ -58,32 +60,70 @@ let wasteful_grid () =
     [ "grouping sets"; "aggs/set"; "all-aggs"; "dedicated"; "ratio" ]
     (List.rev !grid_rows)
 
-(* A synthetic directed web graph (zipf in-link popularity). *)
-let web_graph ~pages ~links =
-  let s = Pgraph.Schema.create () in
-  let _ = Pgraph.Schema.add_vertex_type s "Page" [] in
-  let _ = Pgraph.Schema.add_edge_type s "LinkTo" ~directed:true ~src:"Page" ~dst:"Page" [] in
-  let g = Pgraph.Graph.create s in
-  for _ = 1 to pages do ignore (Pgraph.Graph.add_vertex g "Page" []) done;
-  let rng = Pgraph.Prng.create 2718 in
-  for _ = 1 to links do
-    let src = Pgraph.Prng.int rng pages in
-    let dst = Pgraph.Prng.zipf rng pages 1.4 - 1 in
-    if src <> dst then ignore (Pgraph.Graph.add_edge g "LinkTo" src dst [])
+(* PageRank driving the accumulator library directly, the same update
+   rule as queries/pagerank.gsql (paper Figure 4) on a Page/LinkTo graph:
+   each iteration is one ACCUM snapshot phase (score fractions buffered
+   per out-edge, committed once) and one POST_ACCUM-style phase over the
+   vertices with out-edges.  Returns every vertex's score. *)
+let direct_pagerank g ~damping ~iterations =
+  let n = G.n_vertices g in
+  let store = Store.create () in
+  Store.declare_vertex store "score" Spec.Sum_float ~n_vertices:n;
+  Store.set_vertex_init store "score" (V.Float 1.0);
+  Store.declare_vertex store "received" Spec.Sum_float ~n_vertices:n;
+  let score v = V.to_float (Store.read store (Store.Vertex_acc ("score", v))) in
+  for _ = 1 to iterations do
+    let phase = Store.begin_phase store in
+    G.iter_vertices g (fun v ->
+        let deg = G.out_degree g v in
+        if deg > 0 then begin
+          let fraction = V.Float (score v /. float_of_int deg) in
+          G.iter_adjacent g v (fun h ->
+              if h.G.h_rel = G.Out then
+                Store.buffer_input phase (Store.Vertex_acc ("received", h.G.h_other)) fraction B.one)
+        end);
+    Store.commit store phase;
+    let post = Store.begin_phase store in
+    G.iter_vertices g (fun v ->
+        if G.out_degree g v > 0 then begin
+          let received = V.to_float (Store.read store (Store.Vertex_acc ("received", v))) in
+          Store.buffer_assign post (Store.Vertex_acc ("score", v))
+            (V.Float (1.0 -. damping +. (damping *. received)));
+          Store.buffer_assign post (Store.Vertex_acc ("received", v)) (V.Float 0.0)
+        end);
+    Store.commit store post
   done;
-  g
+  Array.init n score
 
 let gsql_overhead () =
-  let g = web_graph ~pages:1500 ~links:9000 in
-  let options = { Galgos.Pagerank.damping = 0.85; max_iterations = 5; max_change = 0.0 } in
-  let t_direct =
-    Util.median_ms ~runs:3 (fun () ->
-        ignore (Galgos.Pagerank.run g ~options ~vertex_type:"Page" ~edge_type:"LinkTo" ()))
+  let { Pathsem.Toygraphs.g; _ } = Pathsem.Toygraphs.web ~links:9000 1500 in
+  let iterations = 5 and damping = 0.85 in
+  let src = Util.read_query "pagerank.gsql" in
+  let params =
+    [ ("maxChange", V.Float 0.0); ("maxIteration", V.Int iterations);
+      ("dampingFactor", V.Float damping) ]
   in
-  let t_gsql =
-    Util.median_ms ~runs:3 (fun () ->
-        ignore (Galgos.Pagerank.run_gsql g ~options ~vertex_type:"Page" ~edge_type:"LinkTo" ()))
+  let run_gsql () = Gsql.Compile.run_source g ~params src in
+  (* Both sides compute the same ranking before either is timed: the
+     query's top-10 (url, score) rows against the direct scores. *)
+  let direct = direct_pagerank g ~damping ~iterations in
+  let url v = V.to_string (G.vertex_attr g v "url") in
+  let expected =
+    List.stable_sort (fun a b -> Float.compare direct.(b) direct.(a))
+      (List.init (Array.length direct) Fun.id)
+    |> List.filteri (fun i _ -> i < 10)
   in
+  let rows = (Gsql.Eval.table (run_gsql ()) "Ranks").Gsql.Table.rows in
+  if List.length rows <> List.length expected then failwith "ablation (b): top-10 sizes differ";
+  List.iter2
+    (fun v row ->
+      match row with
+      | [| u; score |]
+        when V.to_string u = url v && Float.abs (V.to_float score -. direct.(v)) <= 1e-9 -> ()
+      | _ -> failwith ("ablation (b): GSQL and direct PageRank differ at " ^ url v))
+    expected rows;
+  let t_direct = Util.median_ms ~runs:3 (fun () -> ignore (direct_pagerank g ~damping ~iterations)) in
+  let t_gsql = Util.median_ms ~runs:3 (fun () -> ignore (run_gsql ())) in
   Util.print_table
     ~title:
       "Ablation (b) — compiled GSQL vs direct accumulator API (5 PageRank iters, 1.5k \

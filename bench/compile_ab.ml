@@ -56,16 +56,6 @@ let getenv_float name default =
   | Some s -> (try float_of_string s with Failure _ -> default)
   | None -> default
 
-let queries_dir () =
-  List.find Sys.file_exists [ "queries"; "../queries" ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* Strong structural fingerprint: PRINT output, every table rendered, and
    vertex-set sizes.  Row order is part of the compiled path's contract. *)
 let fingerprint (r : Gsql.Eval.result) =
@@ -84,14 +74,13 @@ let run () =
   let t = Ldbc.Snb.generate ~sf () in
   let graph = t.Ldbc.Snb.graph in
   Printf.printf "SNB sf=%.2f: %s\n" sf (Ldbc.Snb.stats t);
-  let dir = queries_dir () in
   let rows, sidecar =
     List.split
       (List.map
          (fun c ->
            let src =
              match c.c_source with
-             | `File f -> read_file (Filename.concat dir f)
+             | `File f -> Util.read_query f
              | `Ic (ic, hops, param) ->
                (* The same wrapping as bench/e2e/workload.ml's ic_source. *)
                let name = String.capitalize_ascii (Ldbc.Ic.name_to_string ic) in

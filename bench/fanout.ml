@@ -18,7 +18,6 @@
 
 module Sem = Pathsem.Semantics
 
-let h_legacy = Obs.Metrics.histogram "bench.fanout.legacy_kernel_ms"
 let h_csr = Obs.Metrics.histogram "bench.fanout.csr_kernel_ms"
 let h_seq = Obs.Metrics.histogram "bench.fanout.seq_ms"
 let h_par = Obs.Metrics.histogram "bench.fanout.par_ms"
@@ -51,14 +50,9 @@ let run () =
   if seq_bindings <> par_bindings then
     failwith "fanout: parallel and sequential binding tables differ";
   let n_bindings = List.length seq_bindings in
-  (* Kernel ablation: the pre-CSR list-frontier kernel vs the flat CSR
-     kernel with reused scratch, same DFA, same sources, no fan-out —
-     isolates the tentpole's single-threaded win. *)
+  (* The bare kernel with one reused scratch, same DFA, same sources, no
+     fan-out: the single-threaded floor under the engine rows. *)
   let dfa = Pathsem.Engine.compile g ast in
-  let t_legacy =
-    Util.median_ms ~runs (fun () ->
-        Array.iter (fun s -> ignore (Pathsem.Count.single_source_legacy g dfa s)) sources)
-  in
   let scratch = Pathsem.Count.create_scratch () in
   let t_csr =
     Util.median_ms ~runs (fun () ->
@@ -67,7 +61,6 @@ let run () =
   let t_seq = Util.median_ms ~runs (fun () -> ignore (count 1)) in
   let t_par = Util.median_ms ~runs (fun () -> ignore (count workers)) in
   let speedup = t_seq /. t_par in
-  Obs.Metrics.observe h_legacy t_legacy;
   Obs.Metrics.observe h_csr t_csr;
   Obs.Metrics.observe h_seq t_seq;
   Obs.Metrics.observe h_par t_par;
@@ -75,10 +68,9 @@ let run () =
   Util.print_table
     ~title:"Fan-out — multi-source ASP counting over KNOWS* (CSR kernel)"
     [ "engine"; "workers"; "bindings"; "median" ]
-    [ [ "legacy kernel (list frontier)"; "1"; "-"; Util.ms_to_string t_legacy ];
-      [ "CSR kernel (flat frontier)"; "1"; "-"; Util.ms_to_string t_csr ];
+    [ [ "CSR kernel (flat frontier)"; "1"; "-"; Util.ms_to_string t_csr ];
       [ "engine sequential"; "1"; string_of_int n_bindings; Util.ms_to_string t_seq ];
       [ "engine parallel"; string_of_int workers; string_of_int n_bindings;
         Util.ms_to_string t_par ] ];
-  Printf.printf "\nKernel: CSR %.2fx vs legacy; fan-out: %.2fx over %d sources with %d workers\n"
-    (t_legacy /. t_csr) speedup (Array.length sources) workers
+  Printf.printf "\nFan-out: %.2fx over %d sources with %d workers\n"
+    speedup (Array.length sources) workers

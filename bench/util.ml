@@ -79,3 +79,9 @@ let with_sidecar name f =
     close_out oc;
     Printf.eprintf "[sidecar] %s\n%!" path;
     result
+
+(* The text of a shipped queries/*.gsql file; benches run from the repo
+   root (dune exec) or one directory below it. *)
+let read_query file =
+  let dir = List.find Sys.file_exists [ "queries"; "../queries" ] in
+  In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all

@@ -1,11 +1,17 @@
 (* Social-network analytics session over an LDBC SNB-like graph: generate
-   data, run IC queries under both path-legality semantics, then apply the
-   accumulator-style analytics toolkit (components, communities, triangles,
-   centrality).
+   data, run IC queries under both path-legality semantics, then run the
+   graph algorithms shipped as GSQL queries (components, communities,
+   triangles, centrality) over the KNOWS network.
 
    Run with: dune exec examples/snb_analytics.exe *)
 
 module Sem = Pathsem.Semantics
+module V = Pgraph.Value
+
+let read_query file =
+  (* dune exec runs in the repo root, dune runtest in _build/default/examples. *)
+  let dir = List.find Sys.file_exists [ "queries"; "../queries" ] in
+  In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all
 
 let () =
   let t = Ldbc.Snb.generate ~sf:0.25 () in
@@ -36,26 +42,20 @@ let () =
    | Some tbl -> print_endline (Gsql.Table.to_string (Gsql.Table.limit 5 tbl))
    | None -> ());
 
-  (* Analytics toolkit on the KNOWS network. *)
-  Printf.printf "KNOWS components: %d\n" (Galgos.Wcc.count_components g ~edge_type:"KNOWS" ());
-  let labels = Galgos.Community.run g ~edge_type:"KNOWS" () in
-  let communities = Galgos.Community.modularity_communities labels in
-  let knows_communities =
-    Hashtbl.fold
-      (fun _ members acc ->
-        (* Only count communities that contain persons. *)
-        if List.exists (fun v -> Array.exists (( = ) v) t.Ldbc.Snb.persons) members then acc + 1
-        else acc)
-      communities 0
-  in
-  Printf.printf "KNOWS communities (label propagation): %d\n" knows_communities;
-  Printf.printf "KNOWS triangles: %d\n" (Galgos.Triangles.count g ~edge_type:"KNOWS" ());
-  let top = Galgos.Centrality.top_closeness g ~edge_type:"KNOWS" ~k:3 () in
+  (* Graph algorithms over KNOWS, each a queries/*.gsql file. *)
+  let run ?(params = []) file = Gsql.Compile.run_source g ~params (read_query file) in
+  let rows r name = (Gsql.Eval.table r name).Gsql.Table.rows in
+  Printf.printf "KNOWS components: %d\n" (List.length (rows (run "wcc.gsql") "Components"));
+  Printf.printf "KNOWS communities (label propagation): %d\n"
+    (List.length (rows (run "label_propagation.gsql") "Communities"));
+  print_string (run "triangles.gsql").Gsql.Eval.r_printed;
   print_endline "Most central persons (closeness over KNOWS):";
   List.iter
-    (fun (v, c) ->
-      Printf.printf "  %s %s (%.4f)\n"
-        (Pgraph.Value.to_string (Pgraph.Graph.vertex_attr g v "firstName"))
-        (Pgraph.Value.to_string (Pgraph.Graph.vertex_attr g v "lastName"))
-        c)
-    top
+    (function
+      | [| V.Vertex v; V.Float c |] ->
+        Printf.printf "  %s %s (%.4f)\n"
+          (V.to_string (Pgraph.Graph.vertex_attr g v "firstName"))
+          (V.to_string (Pgraph.Graph.vertex_attr g v "lastName"))
+          c
+      | _ -> assert false)
+    (rows (run ~params:[ ("k", V.Int 3) ] "closeness.gsql") "Central")

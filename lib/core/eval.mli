@@ -156,9 +156,6 @@ val group_by_key : ('a -> Pgraph.Value.t) -> 'a list -> 'a list list
 (** Groups in first-appearance order of their key, members in input
     order. *)
 
-val compare_keys : (Pgraph.Value.t * bool) list -> (Pgraph.Value.t * bool) list -> int
-(** ORDER BY comparator over key lists of (value, descending) pairs. *)
-
 val post_accum_groups : Ast.acc_stmt list -> (string option * Ast.acc_stmt list) list
 (** POST_ACCUM statements grouped into executions: runs of consecutive
     statements over the same driving vertex alias ([None] = run once). *)

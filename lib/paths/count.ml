@@ -192,66 +192,6 @@ let solve scratch g (dfa : Darpe.Dfa.t) src ~hop_widths =
   Array.sort Int.compare reached;
   reached
 
-(* The pre-CSR kernel — Vec-of-half adjacency walk with list frontiers.
-   Kept as the differential-testing reference (test_csr.ml proves random
-   graphs agree) and for the ablation bench; not on any hot path. *)
-let single_source_legacy g (dfa : Darpe.Dfa.t) src =
-  let nq = dfa.Darpe.Dfa.n_states in
-  let nv = G.n_vertices g in
-  let n = nv * nq in
-  let dist = Array.make n (-1) in
-  let count = Array.make n B.zero in
-  let pid v q = (v * nq) + q in
-  let start = pid src dfa.Darpe.Dfa.start in
-  dist.(start) <- 0;
-  count.(start) <- B.one;
-  let frontier = ref [ start ] in
-  let level = ref 0 in
-  while !frontier <> [] do
-    let next = ref [] in
-    let d = !level in
-    if Interrupt.governed () then begin
-      let width = List.length !frontier in
-      Interrupt.check_rows width;
-      Interrupt.tick_n width
-    end;
-    List.iter
-      (fun p ->
-        let v = p / nq and q = p mod nq in
-        let c = count.(p) in
-        G.iter_adjacent g v (fun h ->
-            let etype = G.edge_type_id g h.G.h_edge in
-            let q' = Darpe.Dfa.step dfa q ~etype ~rel:h.G.h_rel in
-            if q' >= 0 && dfa.Darpe.Dfa.live.(q') then begin
-              let p' = pid h.G.h_other q' in
-              if dist.(p') = -1 then begin
-                dist.(p') <- d + 1;
-                count.(p') <- c;
-                next := p' :: !next
-              end
-              else if dist.(p') = d + 1 then count.(p') <- B.add count.(p') c
-            end))
-      !frontier;
-    frontier := !next;
-    incr level
-  done;
-  let sr_dist = Array.make nv (-1) in
-  let sr_count = Array.make nv B.zero in
-  for v = 0 to nv - 1 do
-    for q = 0 to nq - 1 do
-      if dfa.Darpe.Dfa.accepting.(q) then begin
-        let dq = dist.(pid v q) in
-        if dq >= 0 then
-          if sr_dist.(v) = -1 || dq < sr_dist.(v) then begin
-            sr_dist.(v) <- dq;
-            sr_count.(v) <- count.(pid v q)
-          end
-          else if dq = sr_dist.(v) then sr_count.(v) <- B.add sr_count.(v) count.(pid v q)
-      end
-    done
-  done;
-  { sr_src = src; sr_dist; sr_count }
-
 (* [solve], wrapped in a "bfs" trace span when tracing is on. *)
 let solve_traced scratch g dfa src =
   if not (Obs.Trace.enabled ()) then solve scratch g dfa src ~hop_widths:None

@@ -20,8 +20,8 @@
     states, so after a domain's first run a source costs work in the
     states it reaches, not in |V|·|Q|.  Bignat multiplicity accumulation,
     the [paths.count.*] metrics and the per-hop governor checkpoints are
-    unchanged from the original list-frontier engine, which survives as
-    {!single_source_legacy} for differential testing. *)
+    unchanged from the original list-frontier engine; Theorem 6.1
+    (counting = enumerated shortest paths) is its test oracle. *)
 
 type source_result = {
   sr_src : int;
@@ -59,11 +59,6 @@ val single_source : ?scratch:scratch -> Pgraph.Graph.t -> Darpe.Dfa.t -> int -> 
     shortest satisfying paths from [s] to every vertex — {!iter_reached}
     spread into dense |V|-sized arrays.
     Complexity O((|V| + |E|)·|DFA|) BFS steps plus big-number additions. *)
-
-val single_source_legacy : Pgraph.Graph.t -> Darpe.Dfa.t -> int -> source_result
-(** The pre-CSR reference kernel (Vec-of-half adjacency, list frontiers).
-    Same results as {!single_source} — pinned by a property test — but
-    slower; kept for differential testing and the ablation bench. *)
 
 val single_pair : Pgraph.Graph.t -> Darpe.Dfa.t -> int -> int -> (int * Pgraph.Bignat.t) option
 (** [single_pair g dfa s t] is [Some (length, count)] for the shortest

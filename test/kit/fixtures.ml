@@ -1,7 +1,8 @@
 (* Shared graph fixtures for the evaluator/integration test suites and
    examples: the paper's SalesGraph (Examples 1, 4, 5, 6), a small web
-   graph for PageRank (Example 7), and random mixed-direction graphs for
-   the counting kernel's properties. *)
+   graph for PageRank (Example 7), random mixed-direction graphs for the
+   counting kernel's properties, and Person/KNOWS graphs for the graph
+   algorithms shipped as queries/*.gsql. *)
 
 module S = Pgraph.Schema
 module G = Pgraph.Graph
@@ -136,3 +137,44 @@ let random_mixed seed nv ne =
 (* Fixed DARPEs over [mixed_schema]: Kleene stars, alternation across
    directions and types, concatenation, bounds and the wildcard. *)
 let mixed_patterns = [ "A>*"; "(A>|B>)*"; "U*"; "A>.<B"; "(A>|<B|U)*1..4"; "_>*1..2" ]
+
+(* Person -(KNOWS)- Person: the SNB social network's schema (KNOWS is
+   undirected), which the graph-algorithm queries in queries/ are written
+   over.  [knows_graph n edges] has persons 0..n-1 (vertex id = index). *)
+let knows_schema () =
+  let s = S.create () in
+  ignore (S.add_vertex_type s "Person" [ ("firstName", S.T_string) ]);
+  ignore (S.add_edge_type s "KNOWS" ~directed:false ~src:"Person" ~dst:"Person" []);
+  s
+
+let knows_graph n edges =
+  let g = G.create (knows_schema ()) in
+  for i = 0 to n - 1 do
+    ignore (G.add_vertex g "Person" [ ("firstName", V.Str (Printf.sprintf "p%d" i)) ])
+  done;
+  List.iter (fun (a, b) -> ignore (G.add_edge g "KNOWS" a b [])) edges;
+  g
+
+(* A random KNOWS graph with [ne] edges: about a quarter repeat the
+   previous edge reversed (a parallel edge), the rest join two random
+   persons, which may coincide (a self-loop). *)
+let random_knows seed nv ne =
+  let rng = Pgraph.Prng.create seed in
+  let edges = ref [] in
+  for _ = 1 to ne do
+    let e =
+      match !edges with
+      | (a, b) :: _ when Pgraph.Prng.int rng 4 = 0 -> (b, a)
+      | _ ->
+        let a = Pgraph.Prng.int rng nv in
+        (a, Pgraph.Prng.int rng nv)
+    in
+    edges := e :: !edges
+  done;
+  knows_graph nv (List.rev !edges)
+
+(* The text of a shipped queries/*.gsql file.  dune runtest runs a test
+   in _build/default/test, dune exec in the repo root. *)
+let query_source file =
+  let dir = List.find Sys.file_exists [ "../queries"; "queries" ] in
+  In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all

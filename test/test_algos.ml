@@ -1,349 +1,168 @@
-(* Accumulator-style graph analytics: PageRank (direct vs GSQL), WCC, SSSP,
-   label propagation, triangles, centrality. *)
+(* The graph algorithms shipped as queries/*.gsql, run as compiled plans:
+   worked examples on small Person/KNOWS graphs, the multiplicity rule
+   (parallel edges and self-loops change no answer), and WCC against
+   sssp.gsql's reachability.  test_integration checks each query against
+   its definitional oracle on random graphs.  PageRank (paper Figure 4)
+   is checked against the power-iteration reference. *)
 
-module G = Pgraph.Graph
-module S = Pgraph.Schema
 module V = Pgraph.Value
 module F = Testkit.Fixtures
+module Q = Testkit.Algo_queries
 
-let simple_graph edges =
-  let s = S.create () in
-  let _ = S.add_vertex_type s "V" [ ("name", S.T_string) ] in
-  let _ = S.add_edge_type s "E" ~directed:true [ ("w", S.T_float) ] in
-  let g = G.create s in
-  let n = 1 + List.fold_left (fun acc (a, b) -> max acc (max a b)) 0 edges in
-  for i = 0 to n - 1 do
-    ignore (G.add_vertex g "V" [ ("name", V.Str (string_of_int i)) ])
-  done;
-  List.iter (fun (a, b) -> ignore (G.add_edge g "E" a b [ ("w", V.Float 1.0) ])) edges;
-  g
+let rows r name = (Gsql.Eval.table r name).Gsql.Table.rows
+
+let clique base = [ (base, base + 1); (base, base + 2); (base, base + 3);
+                    (base + 1, base + 2); (base + 1, base + 3); (base + 2, base + 3) ]
 
 (* --- PageRank --- *)
 
-let test_pagerank_direct_matches_reference () =
-  let g, _ = F.web_graph () in
-  let options =
-    { Galgos.Pagerank.damping = 0.8; max_iterations = 30; max_change = 0.0 }
-  in
-  let ours = Galgos.Pagerank.run g ~options () in
-  let reference = F.reference_pagerank g ~damping:0.8 ~iterations:30 in
-  Array.iteri
-    (fun v r -> Alcotest.(check (float 1e-9)) (Printf.sprintf "vertex %d" v) r ours.(v))
-    reference
+let pagerank_params ~max_change ~iterations =
+  [ ("maxChange", V.Float max_change); ("maxIteration", V.Int iterations);
+    ("dampingFactor", V.Float 0.8) ]
 
-let test_pagerank_gsql_matches_direct () =
-  let g, _ = F.web_graph () in
-  let options = { Galgos.Pagerank.damping = 0.85; max_iterations = 15; max_change = 0.0 } in
-  let direct = Galgos.Pagerank.run g ~options () in
-  let via_gsql =
-    Galgos.Pagerank.run_gsql g ~options ~vertex_type:"Page" ~edge_type:"LinkTo" ()
-  in
-  Array.iteri
-    (fun v d ->
-      Alcotest.(check (float 1e-9)) (Printf.sprintf "vertex %d" v) d via_gsql.(v))
-    direct
+let test_pagerank_matches_reference () =
+  let g, pages = F.web_graph () in
+  let reference = F.reference_pagerank g ~damping:0.8 ~iterations:30 in
+  let r = Q.run ~params:(pagerank_params ~max_change:0.0 ~iterations:30) g "pagerank.gsql" in
+  let ranked = rows r "Ranks" in
+  Alcotest.(check (list string)) "c collects rank" [ "c"; "a"; "b"; "d" ]
+    (List.map (fun row -> V.to_string row.(0)) ranked);
+  List.iter
+    (function
+      | [| V.Str url; score |] ->
+        let v = pages.(Char.code url.[0] - Char.code 'a') in
+        Alcotest.(check (float 1e-9)) url reference.(v) (V.to_float score)
+      | _ -> Alcotest.fail "Ranks row shape")
+    ranked
 
 let test_pagerank_early_exit () =
+  (* The WHILE stops on @@maxDifference, not on the iteration cap. *)
   let g, _ = F.web_graph () in
-  let options = { Galgos.Pagerank.damping = 0.85; max_iterations = 500; max_change = 1e-12 } in
-  let iters = Galgos.Pagerank.iterations_used g ~options () in
-  Alcotest.(check bool) "converges well before the cap" true (iters < 500 && iters > 3)
+  let src = F.query_source "pagerank.gsql" in
+  let params = pagerank_params ~max_change:1e-12 ~iterations:500 in
+  let report = (Gsql.Explain.analyze_source g ~params ~timings:false src).Gsql.Explain.an_report in
+  let iterations =
+    List.find_map
+      (fun line -> Scanf.sscanf_opt (String.trim line) "analyze: %d executions" Fun.id)
+      (String.split_on_char '\n' report)
+  in
+  match iterations with
+  | Some n -> Alcotest.(check bool) "converges well before the cap" true (n > 3 && n < 500)
+  | None -> Alcotest.failf "no loop statistics in:\n%s" report
 
 (* --- WCC --- *)
 
 let test_wcc () =
-  (* Two components: {0,1,2} (with a directed chain) and {3,4}. *)
-  let g = simple_graph [ (0, 1); (1, 2); (3, 4) ] in
-  let labels = Galgos.Wcc.run g () in
-  Alcotest.(check int) "two components" 2 (Galgos.Wcc.count_components g ());
-  Alcotest.(check int) "0,1,2 share" labels.(0) labels.(2);
-  Alcotest.(check int) "3,4 share" labels.(3) labels.(4);
-  Alcotest.(check bool) "components differ" true (labels.(0) <> labels.(3));
-  let comps = Galgos.Wcc.components g () in
-  Alcotest.(check (list int)) "first component members" [ 0; 1; 2 ] comps.(0);
-  Alcotest.(check (list int)) "second component members" [ 3; 4 ] comps.(1)
+  let g = F.knows_graph 5 [ (0, 1); (1, 2); (3, 4) ] in
+  Alcotest.(check (list (pair int int))) "label = min id, members" [ (0, 3); (3, 2) ]
+    (Q.components g)
 
 let test_wcc_singletons () =
-  let s = S.create () in
-  let _ = S.add_vertex_type s "V" [] in
-  let _ = S.add_edge_type s "E" ~directed:true [] in
-  let g = G.create s in
-  for _ = 1 to 5 do ignore (G.add_vertex g "V" []) done;
-  Alcotest.(check int) "five isolated vertices" 5 (Galgos.Wcc.count_components g ())
+  let g = F.knows_graph 5 [] in
+  Alcotest.(check (list (pair int int))) "five isolated persons"
+    (List.init 5 (fun v -> (v, 1)))
+    (Q.components g)
 
 (* --- SSSP --- *)
 
 let test_bfs () =
-  let g = simple_graph [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
-  let d = Galgos.Sssp.bfs g ~src:0 () in
-  Alcotest.(check (array int)) "hop distances" [| 0; 1; 2; 1 |] d;
-  (* Directed edges are not crossed backwards. *)
-  let d3 = Galgos.Sssp.bfs g ~src:3 () in
-  Alcotest.(check int) "3 cannot reach 0" (-1) d3.(0)
-
-let test_bfs_darpe () =
-  let g = simple_graph [ (0, 1); (1, 2) ] in
-  let d = Galgos.Sssp.bfs_darpe g ~darpe:"E>*" ~src:0 in
-  Alcotest.(check int) "two hops" 2 d.(2);
-  (* Reverse pattern reaches backwards instead. *)
-  let dr = Galgos.Sssp.bfs_darpe g ~darpe:"(<E)*" ~src:2 in
-  Alcotest.(check int) "reverse reachability" 2 dr.(0)
-
-let test_weighted_sssp () =
-  let s = S.create () in
-  let _ = S.add_vertex_type s "V" [] in
-  let _ = S.add_edge_type s "E" ~directed:true [ ("w", S.T_float) ] in
-  let g = G.create s in
-  for _ = 0 to 3 do ignore (G.add_vertex g "V" []) done;
-  let edge a b w = ignore (G.add_edge g "E" a b [ ("w", V.Float w) ]) in
-  (* 0 →1.0→ 1 →1.0→ 2, and a heavy direct edge 0 →5.0→ 2; 3 unreachable. *)
-  edge 0 1 1.0;
-  edge 1 2 1.0;
-  edge 0 2 5.0;
-  let d = Galgos.Sssp.weighted g ~weight_attr:"w" ~src:0 () in
-  Alcotest.(check (float 1e-9)) "direct 0" 0.0 d.(0);
-  Alcotest.(check (float 1e-9)) "via 1 is cheaper" 2.0 d.(2);
-  Alcotest.(check bool) "3 unreachable" true (d.(3) = infinity)
-
-let test_path_counts () =
-  let { Pathsem.Toygraphs.g; vertex } = Pathsem.Toygraphs.diamond_chain 5 in
-  let counts = Galgos.Sssp.path_counts g ~src:(vertex "v0") () in
-  Alcotest.(check string) "2^5 shortest paths" "32"
-    (Pgraph.Bignat.to_string counts.(vertex "v5"))
+  (* A 4-cycle 0-1-2-3-0 and an unreachable person 4. *)
+  let g = F.knows_graph 5 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
+  Alcotest.(check (list (pair int int))) "hop distances" [ (0, 0); (1, 1); (3, 1); (2, 2) ]
+    (Q.reached g 0)
 
 (* --- Label propagation --- *)
 
 let test_label_propagation () =
-  (* Two 4-cliques joined by one bridge edge: LPA should find 2 communities. *)
-  let clique base = [ (base, base + 1); (base, base + 2); (base, base + 3);
-                      (base + 1, base + 2); (base + 1, base + 3); (base + 2, base + 3) ] in
-  let g = simple_graph (clique 0 @ clique 4 @ [ (3, 4) ]) in
-  let labels = Galgos.Community.run g () in
-  Alcotest.(check int) "clique 1 united" labels.(0) labels.(2);
-  Alcotest.(check int) "clique 2 united" labels.(5) labels.(7);
-  let communities = Galgos.Community.modularity_communities labels in
-  Alcotest.(check bool) "at most 3 communities" true (Hashtbl.length communities <= 3)
+  (* Two 4-cliques joined by one bridge edge settle into two communities,
+     each labelled by its smallest member. *)
+  let g = F.knows_graph 8 (clique 0 @ clique 4 @ [ (3, 4) ]) in
+  Alcotest.(check (array int)) "labels" [| 0; 0; 0; 0; 4; 4; 4; 4 |] (Q.labels g);
+  Alcotest.(check (list (pair int int))) "communities" [ (0, 4); (4, 4) ]
+    (Q.communities g)
 
 (* --- Triangles --- *)
 
 let test_triangles () =
-  (* A 4-clique has C(4,3) = 4 triangles. *)
-  let g = simple_graph [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ] in
-  Alcotest.(check int) "4-clique triangles" 4 (Galgos.Triangles.count g ());
-  let per = Galgos.Triangles.per_vertex g () in
-  Array.iteri (fun v c -> Alcotest.(check int) (Printf.sprintf "corner %d" v) 3 c) per;
-  Alcotest.(check (float 1e-9)) "clique clustering" 1.0 (Galgos.Triangles.clustering_coefficient g 0)
+  (* C(4,3) = 4 triangles. *)
+  let g = F.knows_graph 4 (clique 0) in
+  Alcotest.(check int) "4-clique triangles" 4 (Q.triangles g)
 
 let test_triangles_none () =
-  let g = simple_graph [ (0, 1); (1, 2); (2, 3) ] in
-  Alcotest.(check int) "path has no triangles" 0 (Galgos.Triangles.count g ());
-  Alcotest.(check (float 1e-9)) "path clustering" 0.0 (Galgos.Triangles.clustering_coefficient g 1)
-
-(* --- Centrality --- *)
-
-let test_centrality () =
-  (* Star: center 0 connected to 1..4 (undirected view via E>|E). *)
-  let g = simple_graph [ (0, 1); (0, 2); (0, 3); (0, 4) ] in
-  let c0 = Galgos.Centrality.closeness g 0 in
-  let c1 = Galgos.Centrality.closeness g 1 in
-  Alcotest.(check (float 1e-9)) "center closeness" 1.0 c0;
-  Alcotest.(check bool) "center is most central" true (c0 > c1);
-  let h0 = Galgos.Centrality.harmonic g 0 in
-  Alcotest.(check (float 1e-9)) "center harmonic" 4.0 h0;
-  Alcotest.(check (float 1e-9)) "degree centrality" 1.0 (Galgos.Centrality.degree_centrality g 0);
-  match Galgos.Centrality.top_closeness g ~k:2 () with
-  | (top, score) :: _ ->
-    Alcotest.(check int) "top vertex" 0 top;
-    Alcotest.(check (float 1e-9)) "top score" 1.0 score
-  | [] -> Alcotest.fail "expected results"
-
-let test_centrality_directed_star () =
-  (* Directed star out of 0: leaves cannot reach anyone. *)
-  let g = simple_graph [ (0, 1); (0, 2) ] in
-  let d = Galgos.Sssp.bfs g ~src:1 () in
-  Alcotest.(check int) "leaf reaches nothing" (-1) d.(2);
-  Alcotest.(check (float 1e-9)) "leaf closeness 0" 0.0 (Galgos.Centrality.closeness g 1)
-
-(* --- property: WCC label = reachability classes on random graphs --- *)
-
-let prop_wcc_sound =
-  QCheck.Test.make ~name:"WCC labels match undirected reachability" ~count:50
-    (QCheck.pair QCheck.small_int (QCheck.int_range 2 12))
-    (fun (seed, n) ->
-      let rng = Pgraph.Prng.create seed in
-      let edges = ref [] in
-      for _ = 1 to n do
-        let a = Pgraph.Prng.int rng n and b = Pgraph.Prng.int rng n in
-        if a <> b then edges := (a, b) :: !edges
-      done;
-      let g = simple_graph !edges in
-      if G.n_vertices g = 0 then true
-      else begin
-        let labels = Galgos.Wcc.run g () in
-        let ok = ref true in
-        (* Same label iff mutually reachable in the undirected view. *)
-        for v = 0 to G.n_vertices g - 1 do
-          let d = Galgos.Sssp.bfs_darpe g ~darpe:"(E>|<E)*" ~src:v in
-          Array.iteri
-            (fun u du ->
-              let same = labels.(u) = labels.(v) in
-              let reach = du >= 0 in
-              if same <> reach then ok := false)
-            d
-        done;
-        !ok
-      end)
-
-
-(* --- Betweenness (Brandes) --- *)
-
-let undirected_graph edges =
-  let s = S.create () in
-  let _ = S.add_vertex_type s "V" [] in
-  let _ = S.add_edge_type s "U" ~directed:false [] in
-  let g = G.create s in
-  let n = 1 + List.fold_left (fun acc (a, b) -> max acc (max a b)) 0 edges in
-  for _ = 1 to n do ignore (G.add_vertex g "V" []) done;
-  List.iter (fun (a, b) -> ignore (G.add_edge g "U" a b [])) edges;
-  g
-
-let test_betweenness_path () =
-  (* Path 0-1-2-3 (undirected): bc(1) = pairs {(0,2),(0,3),(2,0),(3,0)} = 4;
-     symmetric for 2; endpoints 0. *)
-  let g = undirected_graph [ (0, 1); (1, 2); (2, 3) ] in
-  let bc = Galgos.Betweenness.run g () in
-  Alcotest.(check (float 1e-9)) "endpoint" 0.0 bc.(0);
-  Alcotest.(check (float 1e-9)) "inner 1" 4.0 bc.(1);
-  Alcotest.(check (float 1e-9)) "inner 2" 4.0 bc.(2)
-
-let test_betweenness_star () =
-  (* Undirected star, center 0 with 4 leaves: center carries every
-     leaf-to-leaf pair = 4*3 = 12. *)
-  let g = undirected_graph [ (0, 1); (0, 2); (0, 3); (0, 4) ] in
-  let bc = Galgos.Betweenness.run g () in
-  Alcotest.(check (float 1e-9)) "center" 12.0 bc.(0);
-  Alcotest.(check (float 1e-9)) "leaf" 0.0 bc.(1);
-  let normalized = Galgos.Betweenness.run g ~normalize:true () in
-  Alcotest.(check (float 1e-9)) "normalized center" 1.0 normalized.(0);
-  (match Galgos.Betweenness.top_k g ~k:1 () with
-   | [ (0, 12.0) ] -> ()
-   | other ->
-     Alcotest.failf "unexpected top-k %s"
-       (String.concat "," (List.map (fun (v, s) -> Printf.sprintf "(%d,%g)" v s) other)))
-
-let test_betweenness_split_paths () =
-  (* Diamond 0-{1,2}-3: two shortest 0→3 paths, each middle vertex carries
-     half of the (0,3) and (3,0) dependency = 1.0 each. *)
-  let g = undirected_graph [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let bc = Galgos.Betweenness.run g () in
-  Alcotest.(check (float 1e-9)) "half dependency" 1.0 bc.(1);
-  Alcotest.(check (float 1e-9)) "other half" 1.0 bc.(2)
-
-(* Brute-force reference: enumerate all shortest paths between every pair
-   via the witness extractor and count interior visits. *)
-let prop_betweenness_matches_bruteforce =
-  QCheck.Test.make ~name:"Brandes = brute-force on random graphs" ~count:20
-    (QCheck.pair QCheck.small_int (QCheck.int_range 3 7))
-    (fun (seed, n) ->
-      let rng = Pgraph.Prng.create (seed + 13) in
-      let edges = ref [] in
-      for i = 1 to n - 1 do
-        (* spanning tree + extra edges keeps it connected *)
-        edges := (Pgraph.Prng.int rng i, i) :: !edges
-      done;
-      for _ = 1 to n do
-        let a = Pgraph.Prng.int rng n and b = Pgraph.Prng.int rng n in
-        if a <> b then edges := (a, b) :: !edges
-      done;
-      let g = undirected_graph !edges in
-      let n = G.n_vertices g in
-      let brandes = Galgos.Betweenness.run g () in
-      let brute = Array.make n 0.0 in
-      let dfa = Pathsem.Engine.compile g (Darpe.Parse.parse "U*1..") in
-      for s = 0 to n - 1 do
-        for t = 0 to n - 1 do
-          if s <> t then begin
-            let paths = Pathsem.Witness.k_shortest g dfa ~src:s ~dst:t ~k:max_int in
-            let total = float_of_int (List.length paths) in
-            List.iter
-              (fun p ->
-                let vs = p.Pathsem.Enumerate.p_vertices in
-                for i = 1 to Array.length vs - 2 do
-                  brute.(vs.(i)) <- brute.(vs.(i)) +. (1.0 /. total)
-                done)
-              paths
-          end
-        done
-      done;
-      Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) brandes brute)
-
+  let g = F.knows_graph 4 [ (0, 1); (1, 2); (2, 3) ] in
+  Alcotest.(check int) "path has no triangles" 0 (Q.triangles g)
 
 (* --- k-core --- *)
 
 let test_kcore_clique_with_tail () =
-  (* 4-clique (coreness 3) with a pendant path 4-5 hanging off vertex 0. *)
-  let g = undirected_graph [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3); (0, 4); (4, 5) ] in
-  let core = Galgos.Kcore.coreness g () in
-  Alcotest.(check int) "clique member" 3 core.(1);
-  Alcotest.(check int) "clique anchor" 3 core.(0);
-  Alcotest.(check int) "path vertex" 1 core.(4);
-  Alcotest.(check int) "leaf" 1 core.(5);
-  Alcotest.(check int) "degeneracy" 3 (Galgos.Kcore.degeneracy g ());
-  Alcotest.(check (array int)) "3-core = the clique" [| 0; 1; 2; 3 |]
-    (Galgos.Kcore.k_core g ~k:3 ());
-  Alcotest.(check int) "1-core keeps everyone" 6
-    (Array.length (Galgos.Kcore.k_core g ~k:1 ()));
-  Alcotest.(check int) "4-core empty" 0 (Array.length (Galgos.Kcore.k_core g ~k:4 ()))
+  (* A 4-clique with a pendant path 4-5 hanging off vertex 0. *)
+  let g = F.knows_graph 6 (clique 0 @ [ (0, 4); (4, 5) ]) in
+  Alcotest.(check (list int)) "3-core = the clique" [ 0; 1; 2; 3 ] (Q.k_core g 3);
+  Alcotest.(check (list int)) "1-core keeps everyone" [ 0; 1; 2; 3; 4; 5 ] (Q.k_core g 1);
+  Alcotest.(check (list int)) "4-core empty" [] (Q.k_core g 4)
 
-let prop_kcore_consistent =
-  (* coreness(v) >= k  <=>  v in k_core — on random graphs. *)
-  QCheck.Test.make ~name:"coreness agrees with k-core membership" ~count:30
-    (QCheck.pair QCheck.small_int (QCheck.int_range 2 10))
-    (fun (seed, n) ->
-      let rng = Pgraph.Prng.create (seed + 71) in
-      let edges = ref [] in
-      for _ = 1 to n * 2 do
-        let a = Pgraph.Prng.int rng n and b = Pgraph.Prng.int rng n in
-        if a <> b then edges := (a, b) :: !edges
-      done;
-      let g = undirected_graph ((0, (n - 1)) :: !edges) in
-      let core = Galgos.Kcore.coreness g () in
+(* --- Closeness --- *)
+
+let test_centrality () =
+  (* Star: center 0 reaches all four leaves in one hop (closeness 1); a
+     leaf reaches the center in one and three leaves in two (4/7). *)
+  let g = F.knows_graph 5 [ (0, 1); (0, 2); (0, 3); (0, 4) ] in
+  Alcotest.(check (list (pair int (float 1e-12)))) "top 2" [ (0, 1.0); (1, 4.0 /. 7.0) ]
+    (Q.top_closeness g 2)
+
+(* --- parallel edges and self-loops --- *)
+
+let test_multi_edges () =
+  (* The answers are defined on the simple undirected view: doubling
+     edges (either way round) and adding self-loops changes none. *)
+  let simple = clique 0 @ [ (3, 4); (4, 5); (5, 6); (4, 6); (7, 8) ] in
+  let g = F.knows_graph 9 simple in
+  let gm = F.knows_graph 9 (simple @ [ (1, 0); (4, 3); (6, 5); (5, 6); (2, 2); (8, 8) ]) in
+  let same name answer = Alcotest.(check bool) name true (answer g = answer gm) in
+  same "components" Q.components;
+  same "distances" (fun g -> Q.reached g 3);
+  List.iter (fun k -> same (Printf.sprintf "%d-core" k) (fun g -> Q.k_core g k)) [ 1; 2; 3 ];
+  same "triangles" Q.triangles;
+  same "labels" Q.labels;
+  same "closeness" (fun g -> Q.top_closeness g 9)
+
+(* --- property: components = reachability classes --- *)
+
+let prop_wcc_sound =
+  QCheck.Test.make ~name:"WCC labels match undirected reachability" ~count:30
+    (QCheck.triple QCheck.small_int (QCheck.int_range 1 12) (QCheck.int_range 0 24))
+    (fun (seed, nv, ne) ->
+      let g = F.random_knows seed nv ne in
+      let comps = Q.components g in
+      (* Each label l is the smallest id sssp.gsql reaches from l, and its
+         member count is how many it reaches; the counts cover every
+         person, so the components partition the graph. *)
       List.for_all
-        (fun k ->
-          let members = Galgos.Kcore.k_core g ~k () in
-          let in_core = Array.make (G.n_vertices g) false in
-          Array.iter (fun v -> in_core.(v) <- true) members;
-          Array.for_all (fun v -> v) (Array.mapi (fun v c -> (c >= k) = in_core.(v)) core))
-        [ 1; 2; 3 ])
+        (fun (l, n) ->
+          let reached = List.map fst (Q.reached g l) in
+          List.length reached = n && List.fold_left min l reached = l)
+        comps
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 comps = nv)
 
 let () =
   Alcotest.run "algos"
     [ ( "pagerank",
-        [ Alcotest.test_case "direct matches reference" `Quick test_pagerank_direct_matches_reference;
-          Alcotest.test_case "gsql matches direct" `Quick test_pagerank_gsql_matches_direct;
+        [ Alcotest.test_case "pagerank.gsql matches reference" `Quick
+            test_pagerank_matches_reference;
           Alcotest.test_case "early exit" `Quick test_pagerank_early_exit ] );
       ( "wcc",
         [ Alcotest.test_case "two components" `Quick test_wcc;
           Alcotest.test_case "singletons" `Quick test_wcc_singletons ] );
-      ( "sssp",
-        [ Alcotest.test_case "bfs" `Quick test_bfs;
-          Alcotest.test_case "bfs darpe" `Quick test_bfs_darpe;
-          Alcotest.test_case "weighted" `Quick test_weighted_sssp;
-          Alcotest.test_case "path counts" `Quick test_path_counts ] );
+      ("sssp", [ Alcotest.test_case "bfs" `Quick test_bfs ]);
       ( "community",
         [ Alcotest.test_case "label propagation" `Quick test_label_propagation ] );
       ( "triangles",
         [ Alcotest.test_case "clique" `Quick test_triangles;
           Alcotest.test_case "path" `Quick test_triangles_none ] );
-      ( "betweenness",
-        [ Alcotest.test_case "path" `Quick test_betweenness_path;
-          Alcotest.test_case "star" `Quick test_betweenness_star;
-          Alcotest.test_case "split paths" `Quick test_betweenness_split_paths;
-          QCheck_alcotest.to_alcotest prop_betweenness_matches_bruteforce ] );
       ( "kcore",
-        [ Alcotest.test_case "clique with tail" `Quick test_kcore_clique_with_tail;
-          QCheck_alcotest.to_alcotest prop_kcore_consistent ] );
-      ( "centrality",
-        [ Alcotest.test_case "star" `Quick test_centrality;
-          Alcotest.test_case "directed star" `Quick test_centrality_directed_star ] );
+        [ Alcotest.test_case "clique with tail" `Quick test_kcore_clique_with_tail ] );
+      ("centrality", [ Alcotest.test_case "star" `Quick test_centrality ]);
+      ( "multi-edges",
+        [ Alcotest.test_case "parallel edges and self-loops change nothing" `Quick
+            test_multi_edges ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_wcc_sound ]) ]

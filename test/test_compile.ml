@@ -76,19 +76,12 @@ let differential_block ?semantics ?(params = []) label mkgraph src =
 (* ------------------------------------------------------------------ *)
 (* The shipped queries/*.gsql, each on its intended graph shape        *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let queries_dir =
   (* dune runtest runs in _build/default/test, dune exec in the root. *)
   List.find Sys.file_exists [ "../queries"; "queries" ]
 
 let load_query file =
-  match Gsql.Parser.parse_program (read_file (Filename.concat queries_dir file)) with
+  match Gsql.Parser.parse_program (Testkit.Fixtures.query_source file) with
   | [ q ] -> q
   | qs -> Alcotest.fail (Printf.sprintf "%s: %d queries" file (List.length qs))
 
@@ -109,9 +102,25 @@ let test_count_paths () =
     [ Sem.All_shortest; Sem.Non_repeated_edge; Sem.Non_repeated_vertex;
       Sem.Existential ]
 
+(* The graph-algorithm queries, over a Person/KNOWS graph with parallel
+   edges and self-loops (and WCC over SNB as well). *)
+let knows () = Testkit.Fixtures.random_knows 11 16 40
+
+let snb () = (Testkit.Snb_cache.get ()).Ldbc.Snb.graph
+
 let test_wcc () =
   let q = load_query "wcc.gsql" in
-  differential "wcc g1" ~params:[] (fun () -> (Toy.g1 ()).Toy.g) q
+  differential "wcc knows" ~params:[] knows q;
+  differential "wcc snb" ~params:[] snb q
+
+let test_algorithms () =
+  List.iter
+    (fun (file, params) -> differential file ~params knows (load_query file))
+    [ ("sssp.gsql", [ ("source", V.Vertex 3) ]);
+      ("kcore.gsql", [ ("k", V.Int 2) ]);
+      ("triangles.gsql", []);
+      ("label_propagation.gsql", []);
+      ("closeness.gsql", [ ("k", V.Int 5) ]) ]
 
 let test_pagerank () =
   let q = load_query "pagerank.gsql" in
@@ -122,8 +131,6 @@ let test_pagerank () =
         ("dampingFactor", V.Float 0.85) ]
     (fun () -> (Toy.web 40).Toy.g)
     q
-
-let snb () = (Testkit.Snb_cache.get ()).Ldbc.Snb.graph
 
 let test_khop () =
   let q = load_query "khop.gsql" in
@@ -936,6 +943,15 @@ let fixture_blocks =
         PRINT 1 + x, 3 * x AS six, x, x AS ex;
         PRINT R, R AS Again, T, @@n, @@n AS total;
         PRINT R[R.name, R.@deg, R.outdegree()];|} );
+    (* A POST_ACCUM statement that names no vertex alias runs once per
+       block; one that names t runs once per distinct t. *)
+    ( "alias-free post_accum",
+      {|SumAccum<int> @@once;
+        SumAccum<int> @@each;
+        SumAccum<int> @one = 1;
+        R = SELECT t FROM V:s -(E>)- V:t
+            POST_ACCUM @@once += 1, @@each += t.@one;
+        PRINT @@once, @@each, R.size();|} );
     ( "insert then read",
       {|INSERT INTO V (name) VALUES ("new1");
         INSERT INTO V (name) VALUES ("new2");
@@ -952,6 +968,14 @@ let fixture_blocks =
         WHERE s.name == "new1";
         N = {V.*};
         PRINT N.size();|} ) ]
+
+(* The rule itself, not just parity: on g1's 11 distinct E> targets the
+   alias-free statement ran once and the t statement 11 times. *)
+let test_alias_free_post_accum () =
+  let src = List.assoc "alias-free post_accum" fixture_blocks in
+  Alcotest.(check string) "once per block vs once per vertex"
+    "@@once = 1\n@@each = 11\nR.size() = 11\n"
+    (C.run_source (Toy.g1 ()).Toy.g src).E.r_printed
 
 let test_fixture_semantics () =
   List.iter
@@ -999,6 +1023,7 @@ let () =
     [ ( "queries",
         [ Alcotest.test_case "count_paths" `Quick test_count_paths;
           Alcotest.test_case "wcc" `Quick test_wcc;
+          Alcotest.test_case "graph algorithms (knows)" `Quick test_algorithms;
           Alcotest.test_case "pagerank" `Quick test_pagerank;
           Alcotest.test_case "khop (snb)" `Slow test_khop;
           Alcotest.test_case "common_friends (snb)" `Slow test_common_friends;
@@ -1007,7 +1032,9 @@ let () =
           Alcotest.test_case "ldbc ic + is (snb)" `Quick test_ldbc;
           Alcotest.test_case "all compile + describe" `Quick
             test_all_queries_compile;
-          Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics ] );
+          Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics;
+          Alcotest.test_case "alias-free post_accum runs once" `Quick
+            test_alias_free_post_accum ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest prop_random_darpe ] );
       ( "order-limit",

@@ -1,5 +1,6 @@
 (* Cross-library integration: GSQL queries validated against independent
-   host-level implementations, serialization transparency, and the
+   host-level implementations (the shipped graph-algorithm queries against
+   Testkit.Oracles), serialization transparency, and the
    counting/enumeration equivalence end-to-end through the interpreter. *)
 
 module V = Pgraph.Value
@@ -67,26 +68,35 @@ let prop_qn_gsql_matches_engine =
       done;
       !ok)
 
-(* --- WCC written in GSQL vs the host-level implementation --- *)
+(* --- Each graph-algorithm query in queries/ = its definitional oracle,
+   on random KNOWS graphs with parallel edges and self-loops --- *)
 
-let wcc_gsql = {|
-  MinAccum<int> @cc;
-  OrAccum @@changed;
+module Q = Testkit.Algo_queries
+module O = Testkit.Oracles
 
-  Init = SELECT v FROM V:v -(E>*0..0)- V:w ACCUM v.@cc = id(v);
-  @@changed = true;
-  WHILE @@changed LIMIT 200 DO
-    @@changed = false;
-    S = SELECT v
-        FROM V:v -(E?)- V:w
-        WHERE w.@cc > v.@cc
-        ACCUM w.@cc += v.@cc,
-              @@changed += true;
-  END;
-  SELECT v AS vid, v.@cc AS label INTO Labels
-  FROM V:v -(E>*0..0)- V:w;
-|}
+let on_random_knows name check =
+  QCheck.Test.make ~name ~count:30
+    (QCheck.triple QCheck.small_int (QCheck.int_range 1 12) (QCheck.int_range 0 24))
+    (fun (seed, nv, ne) -> check (Testkit.Fixtures.random_knows seed nv ne))
 
+let persons g = List.init (G.n_vertices g) Fun.id
+
+let algorithm_oracles =
+  [ on_random_knows "wcc.gsql = union-find components" (fun g ->
+        Q.components g = O.components g);
+    on_random_knows "sssp.gsql = BFS hop distances" (fun g ->
+        List.for_all (fun s -> Q.reached g s = O.reached g s) (persons g));
+    on_random_knows "kcore.gsql = peeling" (fun g ->
+        List.for_all (fun k -> Q.k_core g k = O.k_core g k) [ 0; 1; 2; 3 ]);
+    on_random_knows "triangles.gsql = adjacent triples" (fun g ->
+        Q.triangles g = O.triangles g);
+    on_random_knows "label_propagation.gsql = LPA" (fun g ->
+        Q.labels g = O.label_propagation g);
+    on_random_knows "closeness.gsql = BFS closeness" (fun g ->
+        List.for_all (fun k -> Q.top_closeness g k = O.top_closeness g k)
+          [ 1; 3; G.n_vertices g ]) ]
+
+(* Random directed V/E graph without self-loops. *)
 let random_graph seed nv ne =
   let s = Pgraph.Schema.create () in
   let _ = Pgraph.Schema.add_vertex_type s "V" [ ("name", Pgraph.Schema.T_string) ] in
@@ -101,62 +111,6 @@ let random_graph seed nv ne =
     if a <> b then ignore (G.add_edge g "E" a b [])
   done;
   g
-
-let prop_wcc_gsql_matches_library =
-  QCheck.Test.make ~name:"GSQL WCC = Galgos.Wcc on random graphs" ~count:25
-    (QCheck.pair QCheck.small_int (QCheck.int_range 2 14))
-    (fun (seed, nv) ->
-      let g = random_graph seed nv (nv * 3 / 2) in
-      let result = E.run_source g wcc_gsql in
-      let table = E.table result "Labels" in
-      let gsql_labels = Array.make nv (-1) in
-      List.iter
-        (fun row ->
-          match row with
-          | [| V.Vertex v; V.Int l |] -> gsql_labels.(v) <- l
-          | _ -> ())
-        table.Gsql.Table.rows;
-      let lib_labels = Galgos.Wcc.run g () in
-      gsql_labels = lib_labels)
-
-(* --- BFS distances via GSQL loop vs Sssp.bfs --- *)
-
-let bfs_gsql = {|
-  MinAccum<int> @dist;
-  OrAccum @@changed;
-
-  Init = SELECT v FROM V:v -(E>*0..0)- V:w
-         ACCUM IF v.name == srcName THEN v.@dist = 0 END;
-  @@changed = true;
-  WHILE @@changed LIMIT 200 DO
-    @@changed = false;
-    S = SELECT w
-        FROM V:v -(E>)- V:w
-        WHERE NOT (v.@dist == NULL) AND (w.@dist == NULL OR w.@dist > v.@dist + 1)
-        ACCUM w.@dist += v.@dist + 1,
-              @@changed += true;
-  END;
-  SELECT v AS vid, v.@dist AS dist INTO Dists
-  FROM V:v -(E>*0..0)- V:w;
-|}
-
-let prop_bfs_gsql_matches_library =
-  QCheck.Test.make ~name:"GSQL BFS = Sssp.bfs on random DAG-ish graphs" ~count:25
-    (QCheck.pair QCheck.small_int (QCheck.int_range 2 12))
-    (fun (seed, nv) ->
-      let g = random_graph (seed + 31) nv (nv * 2) in
-      let result = E.run_source g ~params:[ ("srcName", V.Str "0") ] bfs_gsql in
-      let table = E.table result "Dists" in
-      let gsql_dist = Array.make nv (-1) in
-      List.iter
-        (fun row ->
-          match row with
-          | [| V.Vertex v; V.Int d |] -> gsql_dist.(v) <- d
-          | [| V.Vertex v; V.Null |] -> gsql_dist.(v) <- -1
-          | _ -> ())
-        table.Gsql.Table.rows;
-      let lib_dist = Galgos.Sssp.bfs_darpe g ~darpe:"E>*" ~src:0 in
-      gsql_dist = lib_dist)
 
 (* --- Serialization transparency: save/load then run an IC query --- *)
 
@@ -234,9 +188,7 @@ let () =
     [ ( "qn",
         [ Alcotest.test_case "all semantics on G1" `Quick test_qn_all_semantics_on_g1;
           QCheck_alcotest.to_alcotest prop_qn_gsql_matches_engine ] );
-      ( "algorithms-in-gsql",
-        [ QCheck_alcotest.to_alcotest prop_wcc_gsql_matches_library;
-          QCheck_alcotest.to_alcotest prop_bfs_gsql_matches_library ] );
+      ( "algorithms-in-gsql", List.map QCheck_alcotest.to_alcotest algorithm_oracles );
       ( "pipelines",
         [ Alcotest.test_case "serialized graph same results" `Quick test_serialized_graph_same_results;
           Alcotest.test_case "pretty-printed query runs" `Quick test_pretty_printed_query_runs;

@@ -175,9 +175,10 @@ let random_dag seed nv extra =
    a backward product BFS, independent of the forward kernel) — on cyclic
    graphs with directed, undirected, parallel and self-loop edges, over the
    fixed mixed patterns and random DARPEs.  Sources alternate between two
-   graphs of different |V| and DFAs of different |Q| on the one scratch
-   this domain keeps, so a stale stamp or a missed growth of the scratch
-   shows up as a wrong answer. *)
+   graphs of different |V| and DFAs of different |Q|, and between the
+   scratch this domain keeps and one the caller passes (the [?scratch]
+   path bench/e2e/layers.ml takes), so a stale stamp or a missed growth
+   of either scratch shows up as a wrong answer. *)
 let random_mixed_pattern rng =
   let pick a = a.(Pgraph.Prng.int rng (Array.length a)) in
   let atom () =
@@ -203,8 +204,8 @@ let random_mixed_pattern rng =
   | 2 -> "(" ^ atom () ^ "|" ^ atom () ^ ")*"
   | _ -> "(" ^ atom () ^ "|" ^ atom () ^ ")"
 
-let check_against_enumeration g dfa ~label src =
-  let r = Pathsem.Count.single_source g dfa src in
+let check_against_enumeration ?scratch g dfa ~label src =
+  let r = Pathsem.Count.single_source ?scratch g dfa src in
   for dst = 0 to G.n_vertices g - 1 do
     let n = ref 0 and len = ref (-1) in
     Pathsem.Enumerate.iter_paths g dfa Sem.Shortest_enumerated ~src ~dst:(Some dst) (fun p ->
@@ -228,6 +229,7 @@ let prop_counting_agrees_with_enumeration =
         Testkit.Fixtures.mixed_patterns @ List.init 3 (fun _ -> random_mixed_pattern rng)
       in
       let compile g pat = (pat, Pathsem.Engine.compile g (Darpe.Parse.parse pat)) in
+      let caller = Pathsem.Count.create_scratch () in
       List.iteri
         (fun i pat ->
           (* Pair each pattern with a neighbour so consecutive runs switch
@@ -235,8 +237,9 @@ let prop_counting_agrees_with_enumeration =
           let other = List.nth patterns ((i + 1) mod List.length patterns) in
           let pa, da = compile small pat and pb, db = compile large other in
           for src = 0 to G.n_vertices large - 1 do
-            if src < nv then check_against_enumeration small da ~label:pa src;
-            check_against_enumeration large db ~label:pb src
+            let scratch = if src mod 2 = 0 then Some caller else None in
+            if src < nv then check_against_enumeration ?scratch small da ~label:pa src;
+            check_against_enumeration ?scratch large db ~label:pb src
           done)
         patterns;
       true)
