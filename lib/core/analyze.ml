@@ -99,11 +99,14 @@ let rec walk_acc_stmt env (s : Ast.acc_stmt) =
   | Ast.A_attr_assign (_, _, e) -> walk_expr env e
 
 (* Vertex aliases a POST_ACCUM statement touches: used to enforce the
-   one-alias-per-statement rule GSQL documents. *)
-let rec post_accum_aliases (s : Ast.acc_stmt) =
+   one-alias-per-statement rule GSQL documents.  A bare variable counts
+   when it names one of the block's FROM vertex aliases [from] ([id(v)]);
+   any other variable (a parameter, a FOREACH variable) does not. *)
+let rec post_accum_aliases from (s : Ast.acc_stmt) =
   let rec of_expr (e : Ast.expr) =
     match e with
     | Ast.E_vacc (v, _) | Ast.E_vacc_prev (v, _) | Ast.E_attr (v, _) -> [ v ]
+    | Ast.E_var v when Array.mem v from -> [ v ]
     | Ast.E_binop (_, a, b) -> of_expr a @ of_expr b
     | Ast.E_unop (_, a) -> of_expr a
     | Ast.E_call (_, args) -> List.concat_map of_expr args
@@ -119,7 +122,9 @@ let rec post_accum_aliases (s : Ast.acc_stmt) =
     of_expr e
   | Ast.A_attr_assign (v, _, e) -> v :: of_expr e
   | Ast.A_if (c, th, el) ->
-    of_expr c @ List.concat_map post_accum_aliases th @ List.concat_map post_accum_aliases el
+    of_expr c
+    @ List.concat_map (post_accum_aliases from) th
+    @ List.concat_map (post_accum_aliases from) el
 
 let sort_uniq l = List.sort_uniq compare l
 
@@ -140,9 +145,10 @@ let walk_select env (b : Ast.select_block) =
   Option.iter (walk_expr env) b.Ast.s_where;
   List.iter (walk_acc_stmt env) b.Ast.s_accum;
   List.iter (walk_acc_stmt env) b.Ast.s_post_accum;
+  let from = fst (Ast.collect_aliases b.Ast.s_from) in
   List.iter
     (fun stmt ->
-      let aliases = sort_uniq (post_accum_aliases stmt) in
+      let aliases = sort_uniq (post_accum_aliases from stmt) in
       if List.length aliases > 1 then
         err env
           (Printf.sprintf "POST_ACCUM statement references several vertex aliases (%s)"

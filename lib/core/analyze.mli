@@ -34,6 +34,8 @@ val check_block : Ast.stmt list -> info
 val block_mutates : Ast.stmt list -> bool
 (** The {!info.mutating} classification on a bare statement block. *)
 
-val post_accum_aliases : Ast.acc_stmt -> string list
-(** Vertex aliases a POST_ACCUM statement references (evaluator uses the
-    head alias to drive the per-distinct-vertex execution). *)
+val post_accum_aliases : string array -> Ast.acc_stmt -> string list
+(** [post_accum_aliases from stmt]: the vertex aliases a POST_ACCUM
+    statement references, [from] being the block's FROM vertex aliases
+    (a bare variable counts only when it is one of them).  The evaluator
+    uses the head alias to drive the per-distinct-vertex execution. *)

@@ -195,6 +195,20 @@ let target_to_string = function
   | T_global g -> "@@" ^ g
   | T_vertex (v, a) -> v ^ ".@" ^ a
 
+let endpoint_alias ep = match ep.ep_alias with Some a -> a | None -> ep.ep_set
+
+(* Vertex and edge alias slots of a FROM clause, in first-mention order. *)
+let collect_aliases (from : conjunct list) =
+  let v_aliases = ref [] and e_aliases = ref [] in
+  let add l a = if not (List.mem a !l) then l := a :: !l in
+  List.iter
+    (fun c ->
+      add v_aliases (endpoint_alias c.c_src);
+      add v_aliases (endpoint_alias c.c_dst);
+      match c.c_edge_alias with Some a -> add e_aliases a | None -> ())
+    from;
+  (Array.of_list (List.rev !v_aliases), Array.of_list (List.rev !e_aliases))
+
 let endpoint_to_string ep =
   match ep.ep_alias with Some a -> ep.ep_set ^ ":" ^ a | None -> ep.ep_set
 

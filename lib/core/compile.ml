@@ -1047,7 +1047,7 @@ let split_order keys = (Array.of_list (List.map fst keys), Array.of_list (List.m
 
 let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
     (b : Ast.select_block) : op =
-  let v_aliases, e_aliases = E.collect_aliases b.Ast.s_from in
+  let v_aliases, e_aliases = Ast.collect_aliases b.Ast.s_from in
   let nv = Array.length v_aliases and ne = Array.length e_aliases in
   let row_sc = scope schema [ B_row (v_aliases, e_aliases) ] in
   (* WHERE push-down: single-vertex-alias conjuncts become per-candidate
@@ -1061,8 +1061,8 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
   let cconjs =
     List.map
       (fun (c : Ast.conjunct) ->
-        let src_alias = E.endpoint_alias c.Ast.c_src in
-        let dst_alias = E.endpoint_alias c.Ast.c_dst in
+        let src_alias = Ast.endpoint_alias c.Ast.c_src in
+        let dst_alias = Ast.endpoint_alias c.Ast.c_dst in
         { cj_src_ep = c.Ast.c_src;
           cj_dst_ep = c.Ast.c_dst;
           cj_src_alias = src_alias;
@@ -1118,7 +1118,7 @@ let compile_select (schema : Pgraph.Schema.t option) (binding : string option)
           cg_kernel = compile_kernel sc locals (kernel_reads stmts) stmts;
           cg_nlocals = nlocals;
           cg_overlay = has_assign stmts })
-      (E.post_accum_groups b.Ast.s_post_accum)
+      (E.post_accum_groups v_aliases b.Ast.s_post_accum)
   in
   let exec_accum env bt =
     if Array.length acc_kernel > 0 then

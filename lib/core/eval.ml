@@ -356,11 +356,6 @@ let endpoint_pred ctx (ep : Ast.endpoint) : int -> bool =
     fun v -> Hashtbl.mem tbl v
   | None -> type_filter ctx ep.Ast.ep_set
 
-let endpoint_alias (ep : Ast.endpoint) =
-  match ep.Ast.ep_alias with
-  | Some a -> a
-  | None -> ep.Ast.ep_set
-
 (* "Customer:c" where [c] is a vertex-valued parameter or prior binding pins
    the alias to that single vertex (paper Fig. 3 seeds the pattern with the
    query's customer parameter this way). *)
@@ -433,7 +428,7 @@ let distinct_ints (a : int array) =
    pushed-down single-alias WHERE filter (identity when none applies). *)
 let eval_conjunct ctx ~(alias_pred : string -> int -> bool) (bt : binding_table)
     (c : Ast.conjunct) =
-  let src_alias = endpoint_alias c.Ast.c_src and dst_alias = endpoint_alias c.Ast.c_dst in
+  let src_alias = Ast.endpoint_alias c.Ast.c_src and dst_alias = Ast.endpoint_alias c.Ast.c_dst in
   let src_slot = alias_slot bt.v_aliases src_alias in
   let dst_slot = alias_slot bt.v_aliases dst_alias in
   let edge_slot =
@@ -526,19 +521,8 @@ let eval_conjunct ctx ~(alias_pred : string -> int -> bool) (bt : binding_table)
     Interrupt.tick_n n
   end
 
-let collect_aliases (from : Ast.conjunct list) =
-  let v_aliases = ref [] and e_aliases = ref [] in
-  let add l a = if not (List.mem a !l) then l := a :: !l in
-  List.iter
-    (fun (c : Ast.conjunct) ->
-      add v_aliases (endpoint_alias c.Ast.c_src);
-      add v_aliases (endpoint_alias c.Ast.c_dst);
-      match c.Ast.c_edge_alias with Some a -> add e_aliases a | None -> ())
-    from;
-  (Array.of_list (List.rev !v_aliases), Array.of_list (List.rev !e_aliases))
-
 let build_binding_table ctx ~alias_pred (from : Ast.conjunct list) : binding_table =
-  let v_aliases, e_aliases = collect_aliases from in
+  let v_aliases, e_aliases = Ast.collect_aliases from in
   let bt = { v_aliases; e_aliases; rows = [] } in
   (match from with
    | [] -> error "FROM clause needs at least one pattern"
@@ -580,7 +564,7 @@ let pushdown (from : Ast.conjunct list) (where : Ast.expr option) =
   match where with
   | None -> ([], None)
   | Some cond ->
-    let v_aliases, e_aliases = collect_aliases from in
+    let v_aliases, e_aliases = Ast.collect_aliases from in
     (* Pushable: references exactly one vertex alias and no edge alias. *)
     let pushed_to part =
       let refs = expr_refs part in
@@ -682,10 +666,10 @@ let exec_accum ctx (bt : binding_table) stmts =
    (statements referencing no vertex alias run once).  Consecutive
    statements over the same alias share one execution so that overlaid
    assignments stay visible (the PageRank idiom). *)
-let post_accum_groups stmts =
+let post_accum_groups v_aliases stmts =
   List.fold_left
     (fun acc stmt ->
-      let a = match Analyze.post_accum_aliases stmt with [] -> None | a :: _ -> Some a in
+      let a = match Analyze.post_accum_aliases v_aliases stmt with [] -> None | a :: _ -> Some a in
       match acc with
       | (a', stmts') :: rest when a' = a -> (a', stmt :: stmts') :: rest
       | _ -> (a, [ stmt ]) :: acc)
@@ -726,7 +710,7 @@ let exec_post_accum ctx (bt : binding_table) stmts =
                end)
              bt.rows);
         Accum.Store.commit ctx.store phase)
-      (post_accum_groups stmts)
+      (post_accum_groups bt.v_aliases stmts)
   end
 
 (* ------------------------------------------------------------------ *)

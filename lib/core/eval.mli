@@ -118,7 +118,6 @@ val ctx_var_value : ctx -> string -> Pgraph.Value.t option
 val plain_env : ctx -> env
 val env_with : ctx -> (string * Pgraph.Value.t) list -> env
 
-val endpoint_alias : Ast.endpoint -> string
 val endpoint_seed : ctx -> Ast.endpoint -> int array
 val endpoint_pred : ctx -> Ast.endpoint -> int -> bool
 val alias_constraint : ctx -> string -> int option
@@ -126,9 +125,6 @@ val alias_constraint : ctx -> string -> int option
 
 val alias_slot : string array -> string -> int
 (** Index of [name] in the alias array, [-1] when absent. *)
-
-val collect_aliases : Ast.conjunct list -> string array * string array
-(** Vertex and edge alias slots of a FROM clause, in first-mention order. *)
 
 val pushdown :
   Ast.conjunct list -> Ast.expr option -> (string * Ast.expr list) list * Ast.expr option
@@ -156,9 +152,11 @@ val group_by_key : ('a -> Pgraph.Value.t) -> 'a list -> 'a list list
 (** Groups in first-appearance order of their key, members in input
     order. *)
 
-val post_accum_groups : Ast.acc_stmt list -> (string option * Ast.acc_stmt list) list
+val post_accum_groups :
+  string array -> Ast.acc_stmt list -> (string option * Ast.acc_stmt list) list
 (** POST_ACCUM statements grouped into executions: runs of consecutive
-    statements over the same driving vertex alias ([None] = run once). *)
+    statements over the same driving vertex alias ([None] = run once),
+    given the block's vertex aliases. *)
 
 val expr_aliases : string array -> string array -> Ast.expr -> string list
 (** The pattern aliases (from the vertex and edge alias slot arrays) an

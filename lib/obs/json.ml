@@ -85,84 +85,142 @@ let pretty v =
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
+(* One lexer serves the tree parser and the streaming consumers alike: a
+   cursor over [src.[pos .. lim-1]] that peeks without allocating, slices
+   an escape-free string with one [String.sub] and accumulates a short
+   integer in place.  Every [unsafe_get] sits behind an explicit
+   [< lim] check. *)
+
 exception Parse_error of string
 
-let parse src =
-  let pos = ref 0 in
-  let n = String.length src in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
+type reader = { src : string; mutable pos : int; lim : int }
+
+let reader ?len src =
+  let lim =
+    match len with
+    | None -> String.length src
+    | Some n when n < 0 || n > String.length src -> invalid_arg "Json.reader: len out of range"
+    | Some n -> n
+  in
+  { src; pos = 0; lim }
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
+
+let rec skip_ws r =
+  if r.pos < r.lim then
+    match String.unsafe_get r.src r.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      r.pos <- r.pos + 1;
+      skip_ws r
     | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail "expected '%c' at offset %d, found '%c'" c !pos c'
-    | None -> fail "expected '%c' at offset %d, found end of input" c !pos
-  in
-  let literal word value =
-    let m = String.length word in
-    if !pos + m <= n && String.sub src !pos m = word then begin
-      pos := !pos + m;
-      value
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match src.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape"
-           else
-             match src.[!pos] with
-             | '"' -> Buffer.add_char buf '"'; advance ()
-             | '\\' -> Buffer.add_char buf '\\'; advance ()
-             | '/' -> Buffer.add_char buf '/'; advance ()
-             | 'n' -> Buffer.add_char buf '\n'; advance ()
-             | 'r' -> Buffer.add_char buf '\r'; advance ()
-             | 't' -> Buffer.add_char buf '\t'; advance ()
-             | 'b' -> Buffer.add_char buf '\b'; advance ()
-             | 'f' -> Buffer.add_char buf '\012'; advance ()
-             | 'u' ->
-               if !pos + 4 >= n then fail "truncated \\u escape";
-               let hex = String.sub src (!pos + 1) 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex) with Failure _ -> fail "bad \\u escape %s" hex
-               in
-               (* ASCII only; wider codepoints keep a replacement byte. *)
-               Buffer.add_char buf (if code < 0x80 then Char.chr code else '?');
-               pos := !pos + 5
-             | c -> fail "bad escape \\%c" c);
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let s = String.sub src start (!pos - start) in
+
+(* The next byte, or NUL at the end of input: compared only against
+   structural characters, so a NUL byte in the data cannot be mistaken. *)
+let peek r = if r.pos < r.lim then String.unsafe_get r.src r.pos else '\000'
+
+let expect r c =
+  if r.pos >= r.lim then fail "expected '%c' at offset %d, found end of input" c r.pos
+  else
+    let c' = String.unsafe_get r.src r.pos in
+    if c' = c then r.pos <- r.pos + 1
+    else fail "expected '%c' at offset %d, found '%c'" c r.pos c'
+
+let literal r word v =
+  let m = String.length word in
+  if r.pos + m <= r.lim && String.sub r.src r.pos m = word then begin
+    r.pos <- r.pos + m;
+    v
+  end
+  else fail "bad literal at offset %d" r.pos
+
+(* The escape path: [buf] holds the string's text so far and [r.pos] is
+   on the next unread byte. *)
+let rec escaped r buf =
+  if r.pos >= r.lim then fail "unterminated string"
+  else
+    match String.unsafe_get r.src r.pos with
+    | '"' ->
+      r.pos <- r.pos + 1;
+      Buffer.contents buf
+    | '\\' ->
+      r.pos <- r.pos + 1;
+      if r.pos >= r.lim then fail "unterminated escape";
+      let c =
+        match String.unsafe_get r.src r.pos with
+        | ('"' | '\\' | '/') as c -> c
+        | 'n' -> '\n'
+        | 'r' -> '\r'
+        | 't' -> '\t'
+        | 'b' -> '\b'
+        | 'f' -> '\012'
+        | 'u' ->
+          if r.pos + 4 >= r.lim then fail "truncated \\u escape";
+          let hex = String.sub r.src (r.pos + 1) 4 in
+          let code =
+            match int_of_string_opt ("0x" ^ hex) with
+            | Some code -> code
+            | None -> fail "bad \\u escape %s" hex
+          in
+          r.pos <- r.pos + 4;
+          (* ASCII only; wider codepoints keep a replacement byte. *)
+          if code < 0x80 then Char.chr code else '?'
+        | c -> fail "bad escape \\%c" c
+      in
+      Buffer.add_char buf c;
+      r.pos <- r.pos + 1;
+      escaped r buf
+    | c ->
+      Buffer.add_char buf c;
+      r.pos <- r.pos + 1;
+      escaped r buf
+
+let rec string_from r start i =
+  if i >= r.lim then fail "unterminated string"
+  else
+    match String.unsafe_get r.src i with
+    | '"' ->
+      r.pos <- i + 1;
+      String.sub r.src start (i - start)
+    | '\\' ->
+      let buf = Buffer.create (i - start + 16) in
+      Buffer.add_substring buf r.src start (i - start);
+      r.pos <- i;
+      escaped r buf
+    | _ -> string_from r start (i + 1)
+
+let string r =
+  expect r '"';
+  string_from r r.pos r.pos
+
+let rec num_end r i =
+  if i < r.lim then
+    match String.unsafe_get r.src i with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> num_end r (i + 1)
+    | _ -> i
+  else i
+
+(* [src.[i .. stop-1]] as a decimal, or -1 if a byte is not a digit. *)
+let rec digits src i stop acc =
+  if i >= stop then acc
+  else
+    match String.unsafe_get src i with
+    | '0' .. '9' as c -> digits src (i + 1) stop ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* A number is the longest run of number characters.  [-]d{1,18} is
+   accumulated in place (it cannot overflow); every other run goes to
+   [int_of_string_opt] / [float_of_string_opt], which decide what is
+   accepted. *)
+let number r =
+  let start = r.pos in
+  let stop = num_end r start in
+  r.pos <- stop;
+  let neg = String.unsafe_get r.src start = '-' in
+  let d0 = if neg then start + 1 else start in
+  let n = if stop > d0 && stop - d0 <= 18 then digits r.src d0 stop 0 else -1 in
+  if n >= 0 then Int (if neg then -n else n)
+  else
+    let s = String.sub r.src start (stop - start) in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
       match float_of_string_opt s with
       | Some f -> Float f
@@ -171,68 +229,75 @@ let parse src =
       match int_of_string_opt s with
       | Some i -> Int i
       | None -> fail "bad number %s" s
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}' at offset %d" !pos
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']' at offset %d" !pos
-        in
-        elements ();
-        List (List.rev !items)
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail "unexpected character '%c' at offset %d" c !pos
-  in
+
+let fields r f =
+  skip_ws r;
+  expect r '{';
+  skip_ws r;
+  if peek r = '}' then r.pos <- r.pos + 1
+  else
+    let rec members () =
+      skip_ws r;
+      let key = string r in
+      skip_ws r;
+      expect r ':';
+      f key;
+      skip_ws r;
+      match peek r with
+      | ',' ->
+        r.pos <- r.pos + 1;
+        members ()
+      | '}' -> r.pos <- r.pos + 1
+      | _ -> fail "expected ',' or '}' at offset %d" r.pos
+    in
+    members ()
+
+let items r f =
+  skip_ws r;
+  expect r '[';
+  skip_ws r;
+  if peek r = ']' then r.pos <- r.pos + 1
+  else
+    let rec elements () =
+      f ();
+      skip_ws r;
+      match peek r with
+      | ',' ->
+        r.pos <- r.pos + 1;
+        elements ()
+      | ']' -> r.pos <- r.pos + 1
+      | _ -> fail "expected ',' or ']' at offset %d" r.pos
+    in
+    elements ()
+
+let rec value r =
+  skip_ws r;
+  if r.pos >= r.lim then fail "unexpected end of input";
+  match String.unsafe_get r.src r.pos with
+  | '{' ->
+    let acc = ref [] in
+    fields r (fun k -> acc := (k, value r) :: !acc);
+    Obj (List.rev !acc)
+  | '[' ->
+    let acc = ref [] in
+    items r (fun () -> acc := value r :: !acc);
+    List (List.rev !acc)
+  | '"' -> Str (string r)
+  | 't' -> literal r "true" (Bool true)
+  | 'f' -> literal r "false" (Bool false)
+  | 'n' -> literal r "null" Null
+  | '-' | '0' .. '9' -> number r
+  | c -> fail "unexpected character '%c' at offset %d" c r.pos
+
+let finish r =
+  skip_ws r;
+  if r.pos <> r.lim then fail "trailing characters at offset %d" r.pos
+
+let parse src =
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing characters at offset %d" !pos;
+    let r = reader src in
+    let v = value r in
+    finish r;
     v
   with
   | v -> Ok v

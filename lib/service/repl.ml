@@ -324,7 +324,7 @@ let follow_session t (fo : follower) fd =
             | P.Rep_snapshot { sn_epoch; sn_version; sn_graph } -> (
               touch sn_version;
               Faults.follower_stall t.faults;
-              match Store.Codec.graph_of_json sn_graph with
+              match Store.Codec.graph_of_string (Obs.Json.to_string sn_graph) with
               | Result.Error _ -> `Again
               | Ok (g, v) ->
                 Engine.install_snapshot t.engine g ~version:(max v sn_version);

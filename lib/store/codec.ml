@@ -285,45 +285,67 @@ let graph_to_json ?(version = 0) (g : G.t) : J.t =
     [ ("version", J.Int version); ("schema", schema_to_json s);
       ("vertices", J.List vertices); ("edges", J.List edges) ]
 
-let graph_of_json (j : J.t) : (G.t * int, string) result =
-  let* version = int_field "version" j in
-  let* schema_j = field "schema" j in
-  let* schema = schema_of_json schema_j in
-  let g = G.create schema in
-  let* vs = field "vertices" j in
-  let* es = field "edges" j in
-  let insert mk = function
-    | J.List items ->
-      List.fold_left
-        (fun acc item ->
-          let* () = acc in
-          match mk item with
-          | Ok () -> Ok ()
-          | Error _ as e -> e
-          | exception Invalid_argument msg -> Error msg)
-        (Ok ()) items
-    | _ -> Error "snapshot rows are not a list"
+(* The snapshot decoder streams: the top-level object is read member by
+   member and each row is decoded from its own small subtree as soon as
+   it is lexed, so recovery never holds a tree of the whole graph.  The
+   graph is created when [schema] arrives, hence the order rule: rows
+   before the schema are an error ([graph_to_json] has always written
+   [version, schema, vertices, edges]).  Other members are skipped. *)
+let graph_of_string ?len (text : string) : (G.t * int, string) result =
+  let exception Bad_snapshot of string in
+  let bad msg = raise (Bad_snapshot msg) in
+  let ok = function Ok x -> x | Error msg -> bad msg in
+  let version = ref None and graph = ref None in
+  let seen_vertices = ref false and seen_edges = ref false in
+  let rows r name seen insert =
+    if !seen then bad ("duplicate field " ^ name);
+    seen := true;
+    let g = match !graph with Some g -> g | None -> bad "snapshot rows before schema" in
+    J.items r (fun () ->
+        let item = J.value r in
+        match insert g item with
+        | Ok () -> ()
+        | Error msg -> bad msg
+        | exception Invalid_argument msg -> bad msg)
   in
-  let* () =
-    insert
-      (fun item ->
-        let* ty = str_field "ty" item in
-        let* attrs_j = field "attrs" item in
-        let* attrs = attrs_of_json attrs_j in
-        ignore (G.add_vertex g ty attrs);
-        Ok ())
-      vs
+  let vertex g item =
+    let* ty = str_field "ty" item in
+    let* attrs_j = field "attrs" item in
+    let* attrs = attrs_of_json attrs_j in
+    ignore (G.add_vertex g ty attrs);
+    Ok ()
   in
-  let* () =
-    insert
-      (fun item ->
-        let* ty = str_field "ty" item in
-        let* src = int_field "src" item in
-        let* dst = int_field "dst" item in
-        let* attrs_j = field "attrs" item in
-        let* attrs = attrs_of_json attrs_j in
-        ignore (G.add_edge g ty src dst attrs);
-        Ok ())
-      es
+  let edge g item =
+    let* ty = str_field "ty" item in
+    let* src = int_field "src" item in
+    let* dst = int_field "dst" item in
+    let* attrs_j = field "attrs" item in
+    let* attrs = attrs_of_json attrs_j in
+    ignore (G.add_edge g ty src dst attrs);
+    Ok ()
   in
-  Ok (g, version)
+  let member r = function
+    | "version" ->
+      version := Some (ok (Option.to_result ~none:"bad field version" (J.to_int_opt (J.value r))))
+    | "schema" ->
+      if Option.is_some !graph then bad "duplicate field schema";
+      graph := Some (G.create (ok (schema_of_json (J.value r))))
+    | "vertices" -> rows r "vertices" seen_vertices vertex
+    | "edges" -> rows r "edges" seen_edges edge
+    | _ -> ignore (J.value r)
+  in
+  match
+    let r = J.reader ?len text in
+    J.fields r (member r);
+    J.finish r
+  with
+  | exception J.Parse_error msg -> Error ("snapshot parse: " ^ msg)
+  | exception Bad_snapshot msg -> Error msg
+  | () -> (
+    match !version, !graph with
+    | None, _ -> Error "missing field version"
+    | _, None -> Error "missing field schema"
+    | Some v, Some g ->
+      if not !seen_vertices then Error "missing field vertices"
+      else if not !seen_edges then Error "missing field edges"
+      else Ok (g, v))

@@ -28,5 +28,11 @@ val graph_to_json : ?version:int -> Pgraph.Graph.t -> Obs.Json.t
     id order — decoding reproduces the dense ids exactly, so WAL batches
     recorded after the snapshot keep addressing the right rows. *)
 
-val graph_of_json : Obs.Json.t -> (Pgraph.Graph.t * int, string) result
-(** Rebuilds the graph and returns it with the snapshot's version. *)
+val graph_of_string : ?len:int -> string -> (Pgraph.Graph.t * int, string) result
+(** Rebuilds the graph from the text of [graph_to_json] (its first [len]
+    bytes; default all) and returns it with the snapshot's version.  One
+    pass, no tree of the whole graph: rows are streamed into the graph as
+    they are read, so [schema] must come before [vertices] and [vertices]
+    before [edges], the order [graph_to_json] writes.  Malformed JSON is
+    [Error "snapshot parse: ..."]; a bad row keeps the row decoder's
+    message. *)

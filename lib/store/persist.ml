@@ -27,6 +27,13 @@ let wal_path dir = Filename.concat dir "wal.log"
 let snapshot_path dir = Filename.concat dir "snapshot.json"
 let epoch_path dir = Filename.concat dir "epoch"
 
+let write_all fd s =
+  let n = String.length s in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd s !written (n - !written)
+  done
+
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755
@@ -36,18 +43,21 @@ let ensure_dir dir =
    corrupted after the rename (bit rot, partial overwrite) is detected at
    open instead of deserialized silently.  Footer-less files are accepted
    as-is: they predate the footer. *)
-let crc_footer text = Printf.sprintf "\n#crc32:%08x\n" (Crc32.string text)
-let crc_footer_len = String.length (crc_footer "")
+let crc_footer crc = Printf.sprintf "\n#crc32:%08x\n" crc
+let crc_footer_len = String.length (crc_footer 0)
 
+(* The length of the snapshot's JSON body: [`Ok n] with a matching
+   footer, [`Legacy n] without one. *)
 let split_crc_footer whole =
   let n = String.length whole in
-  if n < crc_footer_len then `Legacy whole
+  if n < crc_footer_len then `Legacy n
   else
-    let foot = String.sub whole (n - crc_footer_len) crc_footer_len in
-    if String.length foot >= 8 && String.sub foot 0 8 = "\n#crc32:" then
-      let body = String.sub whole 0 (n - crc_footer_len) in
-      if foot = crc_footer body then `Ok body else `Corrupt
-    else `Legacy whole
+    let body_len = n - crc_footer_len in
+    if String.sub whole body_len 8 = "\n#crc32:" then
+      if String.sub whole body_len crc_footer_len = crc_footer (Crc32.update 0 whole 0 body_len)
+      then `Ok body_len
+      else `Corrupt
+    else `Legacy n
 
 let load_snapshot path =
   let whole =
@@ -58,10 +68,7 @@ let load_snapshot path =
   in
   match split_crc_footer whole with
   | `Corrupt -> Error "checksum mismatch"
-  | `Ok text | `Legacy text ->
-    (match Obs.Json.parse text with
-     | Error msg -> Error ("snapshot parse: " ^ msg)
-     | Ok j -> Codec.graph_of_json j)
+  | `Ok len | `Legacy len -> Codec.graph_of_string ~len whole
 
 type recovery = {
   r_graph : G.t;
@@ -115,12 +122,8 @@ let compact t graph ~version =
        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
        (fun () ->
          let text = Obs.Json.to_string (Codec.graph_to_json ~version graph) in
-         let buf = Bytes.of_string (text ^ crc_footer text) in
-         let n = Bytes.length buf in
-         let written = ref 0 in
-         while !written < n do
-           written := !written + Unix.write fd buf !written (n - !written)
-         done;
+         write_all fd text;
+         write_all fd (crc_footer (Crc32.string text));
          Unix.fsync fd);
      Unix.rename tmp (snapshot_path t.dir)
    with
@@ -179,12 +182,7 @@ let write_epoch dir epoch =
      Fun.protect
        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
        (fun () ->
-         let buf = Bytes.of_string (string_of_int epoch ^ "\n") in
-         let n = Bytes.length buf in
-         let written = ref 0 in
-         while !written < n do
-           written := !written + Unix.write fd buf !written (n - !written)
-         done;
+         write_all fd (string_of_int epoch ^ "\n");
          Unix.fsync fd);
      Unix.rename tmp (epoch_path dir)
    with

@@ -952,6 +952,13 @@ let fixture_blocks =
         R = SELECT t FROM V:s -(E>)- V:t
             POST_ACCUM @@once += 1, @@each += t.@one;
         PRINT @@once, @@each, R.size();|} );
+    (* A bare FROM alias ([id(t)]) drives the statement like [t.@acc]. *)
+    ( "bare-alias post_accum",
+      {|SumAccum<int> @@ids;
+        SumAccum<int> @@n;
+        R = SELECT t FROM V:s -(E>)- V:t
+            POST_ACCUM @@ids += id(t), @@n += 1;
+        PRINT @@ids, @@n;|} );
     ( "insert then read",
       {|INSERT INTO V (name) VALUES ("new1");
         INSERT INTO V (name) VALUES ("new2");
@@ -976,6 +983,29 @@ let test_alias_free_post_accum () =
   Alcotest.(check string) "once per block vs once per vertex"
     "@@once = 1\n@@each = 11\nR.size() = 11\n"
     (C.run_source (Toy.g1 ()).Toy.g src).E.r_printed
+
+(* On g1 the E> targets' ids sum to 66 (the FOREACH form below agrees);
+   naming two FROM aliases in one statement is the one-alias error. *)
+let test_bare_alias_post_accum () =
+  let g () = (Toy.g1 ()).Toy.g in
+  let run src = (C.run_source (g ()) src).E.r_printed in
+  Alcotest.(check string) "id(t) runs once per t" "@@ids = 66\n@@n = 1\n"
+    (run (List.assoc "bare-alias post_accum" fixture_blocks));
+  Alcotest.(check string) "FOREACH agrees" "@@ids = 66\n"
+    (run
+       {|SumAccum<int> @@ids;
+         R = SELECT t FROM V:s -(E>)- V:t;
+         FOREACH x IN R DO @@ids += id(x); END;
+         PRINT @@ids;|});
+  match
+    run
+      {|SumAccum<int> @@ids;
+        R = SELECT t FROM V:s -(E>)- V:t POST_ACCUM @@ids += id(s) + id(t);|}
+  with
+  | _ -> Alcotest.fail "two bare aliases in one statement accepted"
+  | exception E.Runtime_error msg ->
+    Alcotest.(check string) "one-alias rule"
+      "analysis failed: POST_ACCUM statement references several vertex aliases (s, t)" msg
 
 let test_fixture_semantics () =
   List.iter
@@ -1034,7 +1064,9 @@ let () =
             test_all_queries_compile;
           Alcotest.test_case "fixtures x semantics" `Quick test_fixture_semantics;
           Alcotest.test_case "alias-free post_accum runs once" `Quick
-            test_alias_free_post_accum ] );
+            test_alias_free_post_accum;
+          Alcotest.test_case "bare-alias post_accum runs per vertex" `Quick
+            test_bare_alias_post_accum ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest prop_random_darpe ] );
       ( "order-limit",

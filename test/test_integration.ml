@@ -112,12 +112,19 @@ let random_graph seed nv ne =
   done;
   g
 
-(* --- Serialization transparency: save/load then run an IC query --- *)
+(* --- Serialization transparency: snapshot text and back, then run an IC
+   query --- *)
 
 let test_serialized_graph_same_results () =
   let t = Testkit.Snb_cache.get () in
   let g = t.Ldbc.Snb.graph in
-  let g' = Pgraph.Loader.of_string (Pgraph.Loader.to_string g) in
+  let g' =
+    match
+      Store.Codec.graph_of_string (Obs.Json.to_string (Store.Codec.graph_to_json ~version:1 g))
+    with
+    | Ok (g', _) -> g'
+    | Error msg -> Alcotest.failf "snapshot decode failed: %s" msg
+  in
   let src = Ldbc.Ic.source Ldbc.Ic.Ic9 ~hops:2 in
   let params = Ldbc.Ic.default_params t ~seed:5 Ldbc.Ic.Ic9 in
   let r1 = E.run_source g ~params src in

@@ -215,6 +215,121 @@ let test_json_errors () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\" 1}"; "nul"; "1 2"; "\"unterminated" ]
 
+(* Random trees: strings over every byte (control characters, quotes and
+   backslashes render as escapes), ints up to [max_int]/[min_int], and
+   floats with exponents.  Floats are drawn with at most 12 significant
+   digits, the precision [to_string] renders. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\001'; '\031'; '/' ] ]) (0 -- 8) in
+  let int = oneof [ oneofl [ 0; -1; max_int; min_int; max_int - 1; min_int + 1 ]; int ] in
+  let float =
+    map2
+      (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+      (int_range (-999_999_999_999) 999_999_999_999)
+      (int_range (-290) 290)
+  in
+  let leaf =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool; map (fun n -> J.Int n) int;
+        map (fun f -> J.Float f) float; map (fun s -> J.Str s) str ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (0 -- 4) (self (n - 1))));
+               (1, map (fun l -> J.Obj l) (list_size (0 -- 4) (pair str (self (n - 1))))) ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"to_string and pretty parse back equal" ~count:500
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun doc -> J.parse (J.to_string doc) = Ok doc && J.parse (J.pretty doc) = Ok doc)
+
+(* What [parse] accepts and every message it gives, pinned: numbers are
+   the longest run of [0-9+-.eE], read by [int_of_string_opt] (no [.],
+   [e] or [E]) or [float_of_string_opt]. *)
+let test_json_pinned () =
+  let show = function Ok v -> "OK " ^ J.to_string v | Error msg -> "ERR " ^ msg in
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) (String.escaped src) expected (show (J.parse src)))
+    [ ("-0", "OK 0");
+      ("0123", "OK 123");
+      ("00", "OK 0");
+      ("1e5", "OK 100000.0");
+      ("1E+5", "OK 100000.0");
+      ("-.5", "OK -0.5");
+      ("1.", "OK 1.0");
+      ("-", "ERR bad number -");
+      ("1-2", "ERR bad number 1-2");
+      ("1e", "ERR bad number 1e");
+      ("1e5.5", "ERR bad number 1e5.5");
+      ("+1", "ERR unexpected character '+' at offset 0");
+      (".5", "ERR unexpected character '.' at offset 0");
+      ("123456789012345678", "OK 123456789012345678");
+      ("-123456789012345678", "OK -123456789012345678");
+      ("1234567890123456789", "OK 1234567890123456789");
+      ("4611686018427387903", "OK 4611686018427387903");
+      ("4611686018427387904", "ERR bad number 4611686018427387904");
+      ("-4611686018427387904", "OK -4611686018427387904");
+      ("-4611686018427387905", "ERR bad number -4611686018427387905");
+      ("9999999999999999999", "ERR bad number 9999999999999999999");
+      ("-9999999999999999999", "ERR bad number -9999999999999999999");
+      ({|"\u00|}, {|ERR truncated \u escape|});
+      ({|"\u004|}, {|ERR truncated \u escape|});
+      ({|"\u0041|}, "ERR unterminated string");
+      ({|"\u0041"|}, {|OK "A"|});
+      ({|"\u0_41"|}, {|OK "A"|});
+      ({|"\u00zz"|}, {|ERR bad \u escape 00zz|});
+      ({|"\u00e9"|}, {|OK "?"|});
+      ({|"\|}, "ERR unterminated escape");
+      ({|"\q"|}, {|ERR bad escape \q|});
+      ({|"a\"b"|}, {|OK "a\"b"|});
+      ("\"\000\"", {|OK "\u0000"|});
+      ("", "ERR unexpected end of input");
+      ("{", {|ERR expected '"' at offset 1, found end of input|});
+      ("{,}", {|ERR expected '"' at offset 1, found ','|});
+      ({|{"a":1,}|}, {|ERR expected '"' at offset 7, found '}'|});
+      ({|{"a" 1}|}, "ERR expected ':' at offset 5, found '1'");
+      ({|{"a":1 "b":2}|}, "ERR expected ',' or '}' at offset 7");
+      ("[1 2]", "ERR expected ',' or ']' at offset 3");
+      ("[1,]", "ERR unexpected character ']' at offset 3");
+      ("nul", "ERR bad literal at offset 0");
+      ("nulll", "ERR trailing characters at offset 4");
+      (" { } ", "OK {}") ]
+
+(* Mutated and truncated valid documents: [parse] answers [Ok] or
+   [Error], never raises. *)
+let test_json_fuzz () =
+  let rng = Pgraph.Prng.create 26 in
+  let rand = QCheck.Gen.generate1 ~rand:(Random.State.make [| 26 |]) in
+  let junk = "{}[],:\"\\ntrufalse0123456789-+.eE \t\n\000\255" in
+  let pick () = junk.[Pgraph.Prng.int rng (String.length junk)] in
+  for _ = 1 to 2_000 do
+    let doc = rand gen_json in
+    let text = if Pgraph.Prng.bool rng then J.to_string doc else J.pretty doc in
+    let n = String.length text in
+    let mutated =
+      match Pgraph.Prng.int rng 3 with
+      | 0 -> String.sub text 0 (Pgraph.Prng.int rng (n + 1))
+      | 1 ->
+        let b = Bytes.of_string text in
+        for _ = 0 to Pgraph.Prng.int rng 3 do
+          Bytes.set b (Pgraph.Prng.int rng n) (pick ())
+        done;
+        Bytes.to_string b
+      | _ ->
+        let i = Pgraph.Prng.int rng (n + 1) in
+        let j = min n (i + 1 + Pgraph.Prng.int rng 4) in
+        String.sub text 0 i ^ String.sub text j (n - j)
+    in
+    match J.parse mutated with
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "parse raised %s on %S" (Printexc.to_string e) mutated
+  done
+
 let () =
   Alcotest.run "obs"
     [ ( "metrics",
@@ -232,4 +347,7 @@ let () =
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_round_trip;
           Alcotest.test_case "floats stay floats" `Quick test_json_floats_stay_floats;
-          Alcotest.test_case "errors" `Quick test_json_errors ] ) ]
+          Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "pinned numbers and messages" `Quick test_json_pinned;
+          Alcotest.test_case "mutation fuzz" `Quick test_json_fuzz;
+          QCheck_alcotest.to_alcotest prop_json_round_trip ] ) ]

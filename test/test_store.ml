@@ -86,27 +86,133 @@ let test_codec_batch_roundtrip () =
        Alcotest.(check bool) "ops" true (b.Store.Codec.b_ops = batch.Store.Codec.b_ops)
      | Error msg -> Alcotest.failf "decode failed: %s" msg)
 
+let snapshot_text ?version g = Obs.Json.to_string (Store.Codec.graph_to_json ?version g)
+
+let decode_ok text =
+  match Store.Codec.graph_of_string text with
+  | Ok gv -> gv
+  | Error msg -> Alcotest.failf "decode failed: %s" msg
+
 let test_codec_graph_roundtrip () =
   let g = mk_graph () in
-  let s = Obs.Json.to_string (Store.Codec.graph_to_json ~version:42 g) in
-  match Obs.Json.parse s with
-  | Error msg -> Alcotest.failf "reparse failed: %s" msg
-  | Ok j ->
-    (match Store.Codec.graph_of_json j with
-     | Ok (g', version) ->
-       Alcotest.(check int) "version" 42 version;
-       Alcotest.(check bool) "same graph" true (graphs_equal g g');
-       (* The rebuilt graph accepts further mutations against its schema. *)
-       ignore (G.add_vertex g' "N" [ ("name", V.Str "post") ])
-     | Error msg -> Alcotest.failf "decode failed: %s" msg)
+  let g', version = decode_ok (snapshot_text ~version:42 g) in
+  Alcotest.(check int) "version" 42 version;
+  Alcotest.(check bool) "same graph" true (graphs_equal g g');
+  (* The rebuilt graph accepts further mutations against its schema. *)
+  ignore (G.add_vertex g' "N" [ ("name", V.Str "post") ]);
+  (* [~len] decodes a prefix in place: the text before a footer. *)
+  let g'', _ = decode_ok (snapshot_text g) in
+  let padded = snapshot_text g ^ "\n#crc32:00000000\n" in
+  match Store.Codec.graph_of_string ~len:(String.length padded - 17) padded with
+  | Ok (g3, _) -> Alcotest.(check bool) "prefix decode" true (graphs_equal g'' g3)
+  | Error msg -> Alcotest.failf "prefix decode failed: %s" msg
 
 let test_codec_rejects_garbage () =
   (match Store.Codec.batch_of_json (Obs.Json.Str "nope") with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "batch decoded from a string");
-  match Store.Codec.graph_of_json (Obs.Json.Obj [ ("version", Obs.Json.Int 1) ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "graph decoded without a schema"
+  (match Store.Codec.graph_of_string {|{"version":1}|} with
+   | Error msg -> Alcotest.(check string) "no schema" "missing field schema" msg
+   | Ok _ -> Alcotest.fail "graph decoded without a schema");
+  match Store.Codec.graph_of_string "nope" with
+  | Error msg -> Alcotest.(check string) "not JSON" "snapshot parse: expected '{' at offset 0, found 'n'" msg
+  | Ok _ -> Alcotest.fail "graph decoded from garbage"
+
+(* One typed error per way a snapshot row or the document around it can
+   be wrong; row errors keep the per-row decoder's messages. *)
+let test_snapshot_typed_errors () =
+  let module J = Obs.Json in
+  let doc ?(order = [ "version"; "schema"; "vertices"; "edges" ]) vertices edges =
+    let member = function
+      | "version" -> ("version", J.Int 1)
+      | "schema" -> ("schema", Store.Codec.schema_to_json (mk_schema ()))
+      | "vertices" -> ("vertices", J.List vertices)
+      | key -> (key, J.List edges)
+    in
+    J.to_string (J.Obj (List.map member order))
+  in
+  let vtx = J.Obj [ ("ty", J.Str "N"); ("attrs", J.Obj [ ("name", J.Str "x") ]) ] in
+  let edge ?(ty = J.Str "U") ?(src = J.Int 0) ?(dst = J.Int 1) ?(attrs = J.Obj []) () =
+    J.Obj [ ("ty", ty); ("src", src); ("dst", dst); ("attrs", attrs) ]
+  in
+  let drop key = function
+    | J.Obj fields -> J.Obj (List.remove_assoc key fields)
+    | j -> j
+  in
+  let good = doc [ vtx; vtx ] [ edge () ] in
+  ignore (decode_ok good);
+  List.iter
+    (fun (what, text, expected) ->
+      match Store.Codec.graph_of_string text with
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | Error msg -> Alcotest.(check string) what expected msg)
+    [ ("vertex ty missing", doc [ drop "ty" vtx ] [], "missing field ty");
+      ("vertex ty ill-typed", doc [ J.Obj [ ("ty", J.Int 0); ("attrs", J.Obj []) ] ] [],
+       "bad field ty");
+      ("vertex attrs missing", doc [ drop "attrs" vtx ] [], "missing field attrs");
+      ("vertex attrs ill-typed", doc [ J.Obj [ ("ty", J.Str "N"); ("attrs", J.List []) ] ] [],
+       "bad attrs encoding: []");
+      ("edge ty missing", doc [ vtx; vtx ] [ drop "ty" (edge ()) ], "missing field ty");
+      ("edge ty ill-typed", doc [ vtx; vtx ] [ edge ~ty:J.Null () ], "bad field ty");
+      ("edge src missing", doc [ vtx; vtx ] [ drop "src" (edge ()) ], "missing field src");
+      ("edge src ill-typed", doc [ vtx; vtx ] [ edge ~src:(J.Str "0") () ], "bad field src");
+      ("edge dst missing", doc [ vtx; vtx ] [ drop "dst" (edge ()) ], "missing field dst");
+      ("edge dst ill-typed", doc [ vtx; vtx ] [ edge ~dst:(J.Float 1.0) () ], "bad field dst");
+      ("edge attrs missing", doc [ vtx; vtx ] [ drop "attrs" (edge ()) ], "missing field attrs");
+      ("edge attrs ill-typed", doc [ vtx; vtx ] [ edge ~attrs:(J.Int 1) () ],
+       "bad attrs encoding: 1");
+      ("rows before schema", doc ~order:[ "version"; "vertices"; "schema"; "edges" ] [ vtx ] [],
+       "snapshot rows before schema");
+      ("edges before schema", doc ~order:[ "edges"; "schema"; "vertices"; "version" ] [] [],
+       "snapshot rows before schema");
+      ("unknown vertex type",
+       doc [ J.Obj [ ("ty", J.Str "Nope"); ("attrs", J.Obj []) ] ] [],
+       "Graph: unknown vertex type Nope");
+      ("out-of-range endpoint", doc [ vtx ] [ edge ~dst:(J.Int 9) () ],
+       "Graph: edge endpoint does not exist");
+      ("missing edges", doc ~order:[ "version"; "schema"; "vertices" ] [ vtx ] [],
+       "missing field edges");
+      ("duplicate rows", doc ~order:[ "version"; "schema"; "vertices"; "vertices"; "edges" ] [ vtx ] [],
+       "duplicate field vertices");
+      ("trailing garbage", good ^ " x",
+       Printf.sprintf "snapshot parse: trailing characters at offset %d" (String.length good + 1));
+      ("rows not a list", {|{"version":1,"schema":{"vertex_types":[],"edge_types":[]},"vertices":{}}|},
+       "snapshot parse: expected '[' at offset 69, found '{'") ]
+
+(* A snapshot written by the release before the streaming decoder, byte
+   for byte with its CRC footer: the on-disk format has not moved.
+   [fixture_graph] rebuilds the graph it was written from. *)
+let released_snapshot =
+  {|{"version":3,"schema":{"vertex_types":[{"name":"T","attrs":[["b","bool"],["i","int"],["f","float"],["s","string"],["d","datetime"]]},{"name":"N","attrs":[["name","string"]]}],"edge_types":[{"name":"L","directed":true,"src":"T","dst":"N","attrs":[["w","float"]]},{"name":"U","directed":false,"src":null,"dst":null,"attrs":[]}]},"vertices":[{"ty":"T","attrs":{"b":true,"i":-7,"f":2.5,"s":"tab\there \"q\" back\\slash\nnl \u0001 / café","d":{"$dt":1330473600}}},{"ty":"T","attrs":{"b":false,"i":0,"f":0.0,"s":"","d":{"$dt":0}}},{"ty":"N","attrs":{"name":""}},{"ty":"T","attrs":{"b":false,"i":4611686018427387903,"f":-1e-300,"s":"","d":{"$dt":0}}}],"edges":[{"ty":"L","src":0,"dst":2,"attrs":{"w":0.5}},{"ty":"U","src":2,"dst":1,"attrs":{}},{"ty":"L","src":3,"dst":2,"attrs":{"w":0.0}},{"ty":"U","src":3,"dst":3,"attrs":{}}]}
+#crc32:f40d120e
+|}
+
+let fixture_graph () =
+  let s = S.create () in
+  ignore
+    (S.add_vertex_type s "T"
+       [ ("b", S.T_bool); ("i", S.T_int); ("f", S.T_float); ("s", S.T_string);
+         ("d", S.T_datetime) ]);
+  ignore (S.add_vertex_type s "N" [ ("name", S.T_string) ]);
+  ignore (S.add_edge_type s "L" ~directed:true ~src:"T" ~dst:"N" [ ("w", S.T_float) ]);
+  ignore (S.add_edge_type s "U" ~directed:false []);
+  let g = G.create s in
+  let t0 =
+    G.add_vertex g "T"
+      [ ("b", V.Bool true); ("i", V.Int (-7)); ("f", V.Float 2.5);
+        ("s", V.Str "tab\there \"q\" back\\slash\nnl \001 / caf\xc3\xa9");
+        ("d", V.datetime_of_ymd 2012 2 29) ]
+  in
+  let t1 = G.add_vertex g "T" [] in
+  let n = G.add_vertex g "N" [ ("name", V.Str "") ] in
+  let t2 =
+    G.add_vertex g "T" [ ("i", V.Int max_int); ("f", V.Float (-1e-300)); ("b", V.Bool false) ]
+  in
+  ignore (G.add_edge g "L" t0 n [ ("w", V.Float 0.5) ]);
+  ignore (G.add_edge g "U" n t1 []);
+  ignore (G.add_edge g "L" t2 n []);
+  ignore (G.add_edge g "U" t2 t2 []);
+  g
 
 (* ------------------------------------------------------------------ *)
 (* WAL                                                                 *)
@@ -398,6 +504,46 @@ let test_snapshot_legacy_footerless () =
   Alcotest.(check int) "legacy snapshot accepted" 1 r2.Store.Persist.r_version;
   Store.Persist.close p2
 
+(* The released fixture opens through Persist, with its footer and
+   without it, gives back the graph it was written from and re-encodes
+   to the same bytes. *)
+let test_snapshot_from_release () =
+  let open_with text =
+    let dir = tmp_dir () in
+    write_file (Filename.concat dir "snapshot.json") text;
+    let p, r = Store.Persist.open_dir dir ~base:(fun () -> Alcotest.fail "base used") in
+    Store.Persist.close p;
+    r
+  in
+  let footer_at = String.rindex released_snapshot '#' - 1 in
+  List.iter
+    (fun (what, text) ->
+      let r = open_with text in
+      Alcotest.(check int) (what ^ " version") 3 r.Store.Persist.r_version;
+      Alcotest.(check bool) (what ^ " graph") true
+        (graphs_equal (fixture_graph ()) r.Store.Persist.r_graph);
+      Alcotest.(check string) (what ^ " re-encodes to the same bytes")
+        (String.sub released_snapshot 0 footer_at)
+        (snapshot_text ~version:3 r.Store.Persist.r_graph))
+    [ ("footer", released_snapshot); ("footer-less", String.sub released_snapshot 0 footer_at) ]
+
+(* Every proper prefix of a footer-less snapshot is a typed open error,
+   never a crash or a silently shorter graph. *)
+let test_snapshot_truncation_sweep () =
+  let text = snapshot_text ~version:1 (mk_graph ()) in
+  let dir = tmp_dir () in
+  let snap = Filename.concat dir "snapshot.json" in
+  for k = 0 to String.length text - 1 do
+    write_file snap (String.sub text 0 k);
+    match Store.Persist.open_dir dir ~base:mk_graph with
+    | p, _ ->
+      Store.Persist.close p;
+      Alcotest.failf "prefix of %d bytes opened" k
+    | exception Store.Wal.Io_error msg ->
+      if not (String.starts_with ~prefix:"corrupt snapshot: " msg) then
+        Alcotest.failf "prefix of %d bytes: %s" k msg
+  done
+
 let test_batches_since () =
   let dir = tmp_dir () in
   let base () = mk_graph () in
@@ -469,6 +615,84 @@ let test_compaction_crash_window () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot text round trips on fixture, real and random graphs        *)
+
+let roundtrip g = fst (decode_ok (snapshot_text g))
+
+let test_roundtrip_sales () =
+  let { Testkit.Fixtures.g; _ } = Testkit.Fixtures.sales_graph () in
+  Alcotest.(check bool) "sales graph round trip" true (graphs_equal g (roundtrip g))
+
+let test_roundtrip_snb () =
+  let t = Ldbc.Snb.generate ~sf:0.05 () in
+  let g = t.Ldbc.Snb.graph in
+  let g' = roundtrip g in
+  Alcotest.(check bool) "snb graph round trip" true (graphs_equal g g');
+  (* Semantics preserved: the pattern counts agree. *)
+  let dfa_src = Darpe.Parse.parse "KNOWS*1..2" in
+  let count g =
+    Pgraph.Bignat.to_string
+      (Pathsem.Engine.count_single_pair g dfa_src Pathsem.Semantics.All_shortest
+         ~src:t.Ldbc.Snb.persons.(0) ~dst:t.Ldbc.Snb.persons.(1))
+  in
+  Alcotest.(check string) "pattern counts survive serialization" (count g) (count g')
+
+let test_escaping () =
+  let s = S.create () in
+  ignore (S.add_vertex_type s "T" [ ("txt", S.T_string) ]);
+  ignore (S.add_edge_type s "E" ~directed:false []);
+  let g = G.create s in
+  let nasty = "tab\there\nnewline=eq\\backslash \"quote\" \001\031 caf\xc3\xa9" in
+  let v = G.add_vertex g "T" [ ("txt", V.Str nasty) ] in
+  Alcotest.(check string) "nasty string survives" nasty
+    (V.to_string_exn (G.vertex_attr (roundtrip g) v "txt"))
+
+let test_all_value_types () =
+  let g = fixture_graph () in
+  let g' = roundtrip g in
+  Alcotest.(check bool) "bool" true (V.to_bool (G.vertex_attr g' 0 "b"));
+  Alcotest.(check int) "int" (-7) (V.to_int (G.vertex_attr g' 0 "i"));
+  Alcotest.(check (float 0.0)) "float" 2.5 (V.to_float (G.vertex_attr g' 0 "f"));
+  Alcotest.(check int) "max_int" max_int (V.to_int (G.vertex_attr g' 3 "i"));
+  Alcotest.(check int) "datetime year" 2012 (V.year_of_datetime (G.vertex_attr g' 0 "d"));
+  Alcotest.(check bool) "every attribute" true (graphs_equal g g')
+
+let test_empty_graph () =
+  let s = S.create () in
+  ignore (S.add_vertex_type s "T" []);
+  let g' = roundtrip (G.create s) in
+  Alcotest.(check int) "no vertices" 0 (G.n_vertices g');
+  Alcotest.(check int) "schema kept" 1 (S.n_vertex_types (G.schema g'))
+
+(* Floats go through the JSON rendering, which keeps 12 significant
+   digits, so a random weight comes back as its rendered value: the
+   property is that the decoded graph re-encodes to the same text. *)
+let prop_random_roundtrip =
+  QCheck.Test.make ~name:"random graphs round trip" ~count:30
+    (QCheck.pair QCheck.small_int (QCheck.int_range 1 15))
+    (fun (seed, n) ->
+      let s = S.create () in
+      ignore (S.add_vertex_type s "A" [ ("x", S.T_int) ]);
+      ignore (S.add_vertex_type s "B" [ ("y", S.T_string) ]);
+      ignore (S.add_edge_type s "E" ~directed:true [ ("w", S.T_float) ]);
+      ignore (S.add_edge_type s "U" ~directed:false []);
+      let g = G.create s in
+      let rng = Pgraph.Prng.create seed in
+      for i = 0 to n - 1 do
+        if Pgraph.Prng.bool rng then ignore (G.add_vertex g "A" [ ("x", V.Int i) ])
+        else ignore (G.add_vertex g "B" [ ("y", V.Str (string_of_int i)) ])
+      done;
+      for _ = 1 to n * 2 do
+        let a = Pgraph.Prng.int rng n and b = Pgraph.Prng.int rng n in
+        if Pgraph.Prng.bool rng then
+          ignore (G.add_edge g "E" a b [ ("w", V.Float (Pgraph.Prng.float rng 10.0)) ])
+        else ignore (G.add_edge g "U" a b [])
+      done;
+      let text = snapshot_text ~version:seed g in
+      let g', version = decode_ok text in
+      version = seed && G.n_vertices g' = n && snapshot_text ~version g' = text)
+
 let () =
   Alcotest.run "store"
     [ ( "crc32",
@@ -478,6 +702,16 @@ let () =
         [ Alcotest.test_case "batch roundtrip" `Quick test_codec_batch_roundtrip;
           Alcotest.test_case "graph roundtrip" `Quick test_codec_graph_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage ] );
+      ( "roundtrip",
+        [ Alcotest.test_case "sales graph" `Quick test_roundtrip_sales;
+          Alcotest.test_case "snb graph" `Quick test_roundtrip_snb;
+          Alcotest.test_case "escaping" `Quick test_escaping;
+          Alcotest.test_case "all value types" `Quick test_all_value_types;
+          Alcotest.test_case "empty graph" `Quick test_empty_graph ] );
+      ( "errors",
+        [ Alcotest.test_case "parse errors" `Quick test_snapshot_typed_errors;
+          Alcotest.test_case "truncated snapshot" `Quick test_snapshot_truncation_sweep ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_random_roundtrip ]);
       ( "wal",
         [ Alcotest.test_case "append/scan roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
@@ -490,6 +724,7 @@ let () =
           Alcotest.test_case "failed commit invisible" `Quick test_persist_faulted_commit_not_recovered;
           Alcotest.test_case "snapshot CRC corruption" `Quick test_snapshot_crc_detects_corruption;
           Alcotest.test_case "legacy footer-less snapshot" `Quick test_snapshot_legacy_footerless;
+          Alcotest.test_case "snapshot from an earlier release" `Quick test_snapshot_from_release;
           Alcotest.test_case "batches_since" `Quick test_batches_since;
           Alcotest.test_case "epoch file" `Quick test_epoch_file;
           Alcotest.test_case "compaction crash window" `Quick test_compaction_crash_window ] ) ]
